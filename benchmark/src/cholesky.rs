@@ -75,7 +75,7 @@ impl Tile {
         }
     }
 
-    fn kind(self) -> usize {
+    fn kind(self) -> u8 {
         match self {
             Tile::Gemm { .. } => 0,
             Tile::Syrk { .. } => 1,
@@ -96,7 +96,6 @@ pub struct Cholesky {
     /// `x` and `A·x` for the residual check.
     x: Vec<f32>,
     ax: Vec<f32>,
-    producers: (Vec<u32>, Vec<u32>),
     seq_s: f64,
 }
 
@@ -126,7 +125,6 @@ impl Cholesky {
         let reference = sequential(&input, m, &seq);
         let seq_s = (now_ns() - t) as f64 * 1e-9;
         let scale = reference.max_abs_diff_lower(&FlatMatrix::zeros(dim));
-        let producers = object_producers(n * n, seq.iter().map(|t| t.accesses(n)));
         Cholesky {
             input,
             m,
@@ -135,7 +133,6 @@ impl Cholesky {
             scale,
             x,
             ax,
-            producers,
             seq_s,
         }
     }
@@ -292,8 +289,8 @@ impl Workload for Cholesky {
     fn tasks(&self) -> usize {
         self.seq.len()
     }
-    fn ops(&self) -> f64 {
-        flops::cholesky_total(self.input.dim())
+    fn flops(&self) -> Option<f64> {
+        Some(flops::cholesky_total(self.input.dim()))
     }
     fn decls(&self) -> Decls {
         let n = self.input.dim() / self.m;
@@ -307,14 +304,15 @@ impl Workload for Cholesky {
     fn kind_names(&self) -> &'static [&'static str] {
         KINDS
     }
-    fn kind(&self, i: usize) -> usize {
-        self.seq[i].kind()
+    fn kinds(&self) -> Vec<u8> {
+        self.seq.iter().map(|t| t.kind()).collect()
     }
     fn gemm_flops(&self) -> f64 {
         flops::gemm_nt(self.m)
     }
-    fn producers(&self) -> (&[u32], &[u32]) {
-        (&self.producers.0, &self.producers.1)
+    fn producers(&self) -> (Vec<u32>, Vec<u32>) {
+        let n = self.input.dim() / self.m;
+        object_producers(n * n, self.seq.iter().map(|t| t.accesses(n)))
     }
     fn seq_s(&self) -> f64 {
         self.seq_s
@@ -322,7 +320,8 @@ impl Workload for Cholesky {
     fn rep(&self, threads: usize, spans: Option<&'static Spans>) -> Rep {
         run_rep(
             self.tasks(),
-            || {
+            |_| (),
+            |()| {
                 let rt = Runtime::builder().threads(threads).build();
                 let a = HyperMatrix::from_flat(&rt, &self.input, self.m);
                 (rt, a)

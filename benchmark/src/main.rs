@@ -36,6 +36,7 @@ const SORT_LEN: usize = 1 << 22;
 const SORT_CHUNK: usize = 4096;
 
 /// SplitMix64: the seeded generator behind every workload's input.
+#[derive(Clone)]
 pub struct SplitMix64(u64);
 
 impl SplitMix64 {
@@ -208,5 +209,10 @@ fn main() -> ExitCode {
         out.failed,
         metrics.join(", ")
     );
-    ExitCode::SUCCESS
+    if out.correct {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("error: an output check failed");
+        ExitCode::FAILURE
+    }
 }

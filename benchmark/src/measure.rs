@@ -23,21 +23,28 @@ pub struct Decls {
 pub trait Workload {
     /// Tasks one repetition spawns.
     fn tasks(&self) -> usize;
-    /// Useful operations per repetition: `n³/3` flops for Cholesky.
-    fn ops(&self) -> f64;
+    /// Flops per repetition (`n³/3` for Cholesky), for the workloads
+    /// whose tasks do floating-point work; `gflops` is reported only for
+    /// those.
+    fn flops(&self) -> Option<f64> {
+        None
+    }
     /// Declarations per repetition.
     fn decls(&self) -> Decls;
-    /// Task-kind names, indexed by [`kind`](Self::kind).
+    /// Task-kind names, indexed by the values [`kinds`](Self::kinds)
+    /// returns.
     fn kind_names(&self) -> &'static [&'static str];
-    /// The kind of task `i` (spawn order).
-    fn kind(&self, i: usize) -> usize;
+    /// The kind of every task, in spawn order. Built for traced runs
+    /// only.
+    fn kinds(&self) -> Vec<u8>;
     /// Flops of one `sgemm_t` task, 0 where there are none.
     fn gemm_flops(&self) -> f64 {
         0.0
     }
     /// True producers of each task, as CSR (see
-    /// [`object_producers`](crate::trace::object_producers)).
-    fn producers(&self) -> (&[u32], &[u32]);
+    /// [`object_producers`](crate::trace::object_producers)). Built for
+    /// traced runs only, so untraced runs do not hold it in memory.
+    fn producers(&self) -> (Vec<u32>, Vec<u32>);
     /// Seconds the sequential reference took, with no runtime.
     fn seq_s(&self) -> f64;
     /// One repetition on `threads` runtime threads. With `spans`, the
@@ -46,9 +53,16 @@ pub trait Workload {
     fn rep(&self, threads: usize, spans: Option<&'static Spans>) -> Rep;
 }
 
+/// What traced runs know about the task sequence besides the spans.
+pub struct Shape {
+    pub kinds: Vec<u8>,
+    pub producers: (Vec<u32>, Vec<u32>),
+}
+
 /// What one repetition measured.
 #[derive(Clone, Debug)]
 pub struct Rep {
+    /// Median of the repetition's [`SETUP_SAMPLES`] set-ups.
     pub setup_s: f64,
     pub wall_s: f64,
     /// `now_ns` stamps: first spawn, `wait_all` entry, `wait_all` exit.
@@ -59,26 +73,48 @@ pub struct Rep {
     pub failed: u64,
     pub correct: bool,
     pub stats: StatsSnapshot,
-    /// The process's resident-memory high-water mark over this
-    /// repetition, inputs and references included.
+    /// How far the process's resident memory rose over this repetition
+    /// above what it held when the repetition started, with its input
+    /// already made: the program's own peak memory, not the benchmark's.
     pub peak_rss_mib: f64,
 }
 
-/// Time one repetition: `setup` builds the runtime and registers the
-/// data, `spawn` issues every task, `check` verifies the output after
-/// `wait_all`. Setup ends and the wall clock starts at the first spawn.
-/// The resident-memory high-water mark is reset first, so each
-/// repetition reports its own peak.
-pub fn run_rep<D>(
+/// Set-ups timed per repetition. A set-up takes tens of microseconds,
+/// and the first of a repetition several times that, so a single one is
+/// mostly noise; `setup_s` is the median of these.
+pub const SETUP_SAMPLES: usize = 25;
+
+/// Time one repetition. `prepare(last)` makes the input of one set-up,
+/// untimed; `last` is false for the set-ups whose runtime is dropped
+/// unused, which may get stand-ins that register the same way. `setup`
+/// builds the runtime and registers that input, `spawn` issues every
+/// task, `check` verifies the output after `wait_all`. Set-up runs
+/// [`SETUP_SAMPLES`] times back to back, the last one for real. Setup
+/// ends and the wall clock starts at the first spawn. The
+/// resident-memory high-water mark is reset once the last input is made,
+/// so each repetition reports its own peak.
+pub fn run_rep<I, D>(
     tasks: usize,
-    setup: impl FnOnce() -> (Runtime, D),
+    mut prepare: impl FnMut(bool) -> I,
+    mut setup: impl FnMut(I) -> (Runtime, D),
     spawn: impl FnOnce(&Runtime, &D),
     check: impl FnOnce(&Runtime, D) -> Result<(), String>,
 ) -> Rep {
-    reset_peak_rss();
-    let t0 = now_ns();
-    let (rt, data) = setup();
-    let t1 = now_ns();
+    let mut setup_s = Vec::with_capacity(SETUP_SAMPLES);
+    let mut timed_setup = |input: I| {
+        let t0 = now_ns();
+        let built = setup(input);
+        let t1 = now_ns();
+        setup_s.push((t1 - t0) as f64 * 1e-9);
+        (built, t1)
+    };
+    for _ in 1..SETUP_SAMPLES {
+        let input = prepare(false);
+        drop(timed_setup(input));
+    }
+    let input = prepare(true);
+    let base_mib = reset_peak_rss();
+    let ((rt, data), t1) = timed_setup(input);
     spawn(&rt, &data);
     let t2 = now_ns();
     let res = rt.wait_all();
@@ -93,14 +129,14 @@ pub fn run_rep<D>(
     };
     drop(rt);
     Rep {
-        setup_s: (t1 - t0) as f64 * 1e-9,
+        setup_s: median(setup_s.into_iter()),
         wall_s: (t3 - t1) as f64 * 1e-9,
         spawn_start: t1,
         wait: (t2, t3),
         failed,
         correct: failed == 0,
         stats,
-        peak_rss_mib: peak_rss_mib(),
+        peak_rss_mib: status_mib("VmHWM:") - base_mib,
     }
 }
 
@@ -131,6 +167,10 @@ pub fn measure<W: Workload>(
     spans_out: Option<&str>,
 ) -> Outcome {
     let spans = trace.then(|| Spans::leak(w.tasks()));
+    let shape = trace.then(|| Shape {
+        kinds: w.kinds(),
+        producers: w.producers(),
+    });
     let mut all = vec![w.rep(threads, None)];
     let start = now_ns();
     let (mut plain, mut traced) = (Vec::new(), Vec::new());
@@ -143,7 +183,11 @@ pub fn measure<W: Workload>(
         if let Some(s) = spans {
             let rep = w.rep(threads, Some(s));
             last_stamps = s.read(w.tasks());
-            traced.push((rep.clone(), layer_metrics(w, threads, &rep, &last_stamps)));
+            let shape = shape.as_ref().expect("built when tracing");
+            traced.push((
+                rep.clone(),
+                layer_metrics(w, threads, &rep, &last_stamps, shape),
+            ));
             all.push(rep);
         }
         let took = (now_ns() - t) as f64 * 1e-9;
@@ -152,8 +196,12 @@ pub fn measure<W: Workload>(
             break;
         }
     }
-    if let (Some(path), Some((rep, _))) = (spans_out, traced.last()) {
-        let names: Vec<&str> = (0..w.tasks()).map(|i| w.kind_names()[w.kind(i)]).collect();
+    if let (Some(path), Some((rep, _)), Some(shape)) = (spans_out, traced.last(), &shape) {
+        let names: Vec<&str> = shape
+            .kinds
+            .iter()
+            .map(|&k| w.kind_names()[k as usize])
+            .collect();
         if let Err(e) = write_spans(path, &last_stamps, &names, rep.wait) {
             eprintln!("could not write spans to {path}: {e}");
         }
@@ -185,7 +233,9 @@ pub fn measure<W: Workload>(
             "tasks_per_s",
             (med(&|r| r.stats.tasks_executed as f64 / r.wall_s), "1/s"),
         );
-        metrics.insert("gflops", (med(&|r| w.ops() / r.wall_s * 1e-9), "Gop/s"));
+        if let Some(flops) = w.flops() {
+            metrics.insert("gflops", (med(&|r| flops / r.wall_s * 1e-9), "Gflop/s"));
+        }
         metrics.insert("peak_rss_mib", (med(&|r| r.peak_rss_mib), "MiB"));
         metrics.insert("ok_frac", (1.0 - failed as f64 / attempted as f64, "ratio"));
     }
@@ -201,7 +251,13 @@ pub fn measure<W: Workload>(
 
 /// Reduce one traced repetition's spans and counters to the per-layer
 /// metrics. Metrics a workload has no samples for read 0.
-pub fn layer_metrics<W: Workload>(w: &W, threads: usize, rep: &Rep, s: &[Stamps]) -> Metrics {
+pub fn layer_metrics<W: Workload>(
+    w: &W,
+    threads: usize,
+    rep: &Rep,
+    s: &[Stamps],
+    shape: &Shape,
+) -> Metrics {
     let n = s.len();
     let ns = |a: u64, b: u64| b.saturating_sub(a) as f64;
     let sum = |f: &dyn Fn(&Stamps) -> f64| s.iter().map(f).sum::<f64>();
@@ -226,7 +282,7 @@ pub fn layer_metrics<W: Workload>(w: &W, threads: usize, rep: &Rep, s: &[Stamps]
 
     // Start lag: body start minus the later of submit return and the
     // end of the task's last-ending true producer.
-    let (off, prod) = w.producers();
+    let (off, prod) = &shape.producers;
     let mut lag: Vec<f64> = (0..n)
         .map(|i| {
             let ready = prod[off[i] as usize..off[i + 1] as usize]
@@ -240,9 +296,9 @@ pub fn layer_metrics<W: Workload>(w: &W, threads: usize, rep: &Rep, s: &[Stamps]
     let kinds = w.kind_names();
     let mut body_ns = vec![0.0; kinds.len()];
     let mut count = vec![0u64; kinds.len()];
-    for (i, x) in s.iter().enumerate() {
-        body_ns[w.kind(i)] += ns(x.body_start, x.body_end);
-        count[w.kind(i)] += 1;
+    for (x, &k) in s.iter().zip(&shape.kinds) {
+        body_ns[k as usize] += ns(x.body_start, x.body_end);
+        count[k as usize] += 1;
     }
     let kind = |name: &str| {
         kinds
@@ -319,18 +375,21 @@ pub fn layer_metrics<W: Workload>(w: &W, threads: usize, rep: &Rep, s: &[Stamps]
             "ratio",
         ),
     );
-    let (gemm_ns, gemms) = kind("sgemm_t");
-    m.insert(
-        "blas.gemm_gflops",
-        (per(gemms as f64 * w.gemm_flops(), gemm_ns), "Gflop/s"),
-    );
-    for (key, name) in [
-        ("blas.sgemm_t.body_s", "sgemm_t"),
-        ("blas.ssyrk_t.body_s", "ssyrk_t"),
-        ("blas.spotrf_t.body_s", "spotrf_t"),
-        ("blas.strsm_t.body_s", "strsm_t"),
-    ] {
-        m.insert(key, (kind(name).0 * 1e-9, "s"));
+    // The BLAS metrics only where there are BLAS tasks (`cholesky`).
+    if kinds.contains(&"sgemm_t") {
+        let (gemm_ns, gemms) = kind("sgemm_t");
+        m.insert(
+            "blas.gemm_gflops",
+            (per(gemms as f64 * w.gemm_flops(), gemm_ns), "Gflop/s"),
+        );
+        for (key, name) in [
+            ("blas.sgemm_t.body_s", "sgemm_t"),
+            ("blas.ssyrk_t.body_s", "ssyrk_t"),
+            ("blas.spotrf_t.body_s", "spotrf_t"),
+            ("blas.strsm_t.body_s", "strsm_t"),
+        ] {
+            m.insert(key, (kind(name).0 * 1e-9, "s"));
+        }
     }
     m.insert("sort.seqquick_ns", (mean(kind("seqquick")), "ns"));
     m.insert("sort.seqmerge_ns", (mean(kind("seqmerge")), "ns"));
@@ -358,8 +417,9 @@ pub fn percentile(v: &mut [f64], q: f64) -> f64 {
 /// resident size (Linux `clear_refs` code 5), after handing the heap's
 /// free memory back to the system so that the mark starts from live
 /// data, not from what earlier repetitions left cached in the allocator.
-/// Where the reset is refused the mark covers the whole process life.
-fn reset_peak_rss() {
+/// Returns the resident size the mark starts from, in MiB. Where the
+/// reset is refused the mark covers the whole process life.
+fn reset_peak_rss() -> f64 {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
         extern "C" {
@@ -372,15 +432,17 @@ fn reset_peak_rss() {
         }
     }
     let _ = std::fs::write("/proc/self/clear_refs", "5");
+    status_mib("VmRSS:")
 }
 
-/// The process's resident-memory high-water mark (`VmHWM`), in MiB.
-fn peak_rss_mib() -> f64 {
+/// A memory field of `/proc/self/status` (`VmHWM:`, `VmRSS:`), in MiB;
+/// 0 where there is none.
+fn status_mib(key: &str) -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .find_map(|l| l.strip_prefix(key))
                 .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         })
         .map_or(0.0, |kib| kib / 1024.0)
@@ -389,7 +451,9 @@ fn peak_rss_mib() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cholesky::Cholesky;
     use crate::dep_storm::DepStorm;
+    use crate::multisort::Multisort;
 
     /// `(name, unit)` of every metric in one section of BENCHMARK.json.
     fn declared(section: &str) -> Vec<(String, String)> {
@@ -411,29 +475,48 @@ mod tests {
             .collect()
     }
 
-    fn emitted(trace: bool) -> Vec<(String, String)> {
-        let w = DepStorm::new(1, 2000, 8, 32);
-        let out = measure(&w, 2, 1e-3, trace, None);
+    fn emitted<W: Workload>(w: &W, trace: bool) -> Vec<(String, String)> {
+        let out = measure(w, 2, 1e-3, trace, None);
         assert!(out.correct);
-        assert_eq!((out.attempted, out.failed), (out.reps as u64 * 2000, 0));
+        let tasks = w.tasks() as u64;
+        assert_eq!((out.attempted, out.failed), (out.reps as u64 * tasks, 0));
         out.metrics
             .iter()
             .map(|(k, (_, u))| (k.to_string(), u.to_string()))
             .collect()
     }
 
+    fn with(mut v: Vec<(String, String)>, extra: &[(&str, &str)]) -> Vec<(String, String)> {
+        v.extend(extra.iter().map(|(k, u)| (k.to_string(), u.to_string())));
+        v.sort();
+        v
+    }
+
+    /// The gated workloads emit exactly what BENCHMARK.json declares;
+    /// `cholesky`, which is not gated, adds its flop rates.
     #[test]
     fn untraced_run_emits_exactly_the_end_to_end_metrics() {
-        let mut want = declared("end_to_end");
-        want.sort();
-        assert_eq!(emitted(false), want);
+        let want = with(declared("end_to_end"), &[]);
+        assert_eq!(emitted(&DepStorm::new(1, 2000, 8, 32), false), want);
+        assert_eq!(emitted(&Multisort::new(1, 1 << 10, 64), false), want);
+        let want = with(declared("end_to_end"), &[("gflops", "Gflop/s")]);
+        assert_eq!(emitted(&Cholesky::new(1, 64, 16), false), want);
     }
 
     #[test]
     fn traced_run_emits_exactly_the_per_layer_metrics() {
-        let mut want = declared("per_layer");
-        want.sort();
-        assert_eq!(emitted(true), want);
+        let want = with(declared("per_layer"), &[]);
+        assert_eq!(emitted(&DepStorm::new(1, 2000, 8, 32), true), want);
+        assert_eq!(emitted(&Multisort::new(1, 1 << 10, 64), true), want);
+        let blas = [
+            ("blas.gemm_gflops", "Gflop/s"),
+            ("blas.sgemm_t.body_s", "s"),
+            ("blas.ssyrk_t.body_s", "s"),
+            ("blas.spotrf_t.body_s", "s"),
+            ("blas.strsm_t.body_s", "s"),
+        ];
+        let want = with(declared("per_layer"), &blas);
+        assert_eq!(emitted(&Cholesky::new(1, 64, 16), true), want);
     }
 
     #[test]

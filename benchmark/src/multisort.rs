@@ -148,7 +148,6 @@ pub struct Multisort {
     tasks: Vec<SortTask>,
     /// `sequential_multisort`'s output.
     expected: Vec<Elm>,
-    producers: (Vec<u32>, Vec<u32>),
     seq_s: f64,
 }
 
@@ -169,13 +168,11 @@ impl Multisort {
         let t = now_ns();
         sequential_multisort(&mut expected, params);
         let seq_s = (now_ns() - t) as f64 * 1e-9;
-        let producers = region_producers(&tasks);
         Multisort {
             input,
             params,
             tasks,
             expected: std::hint::black_box(expected),
-            producers,
             seq_s,
         }
     }
@@ -264,11 +261,6 @@ impl Workload for Multisort {
     fn tasks(&self) -> usize {
         self.tasks.len()
     }
-    /// `n·log2(n)` element comparisons of a comparison sort.
-    fn ops(&self) -> f64 {
-        let n = self.input.len() as f64;
-        n * n.log2()
-    }
     fn decls(&self) -> Decls {
         let region = self
             .tasks
@@ -287,29 +279,44 @@ impl Workload for Multisort {
     fn kind_names(&self) -> &'static [&'static str] {
         KINDS
     }
-    fn kind(&self, i: usize) -> usize {
-        match self.tasks[i] {
-            SortTask::Quick { .. } => 0,
-            SortTask::Merge { .. } => 1,
-        }
+    fn kinds(&self) -> Vec<u8> {
+        self.tasks
+            .iter()
+            .map(|t| match t {
+                SortTask::Quick { .. } => 0,
+                SortTask::Merge { .. } => 1,
+            })
+            .collect()
     }
-    fn producers(&self) -> (&[u32], &[u32]) {
-        (&self.producers.0, &self.producers.1)
+    fn producers(&self) -> (Vec<u32>, Vec<u32>) {
+        region_producers(&self.tasks)
     }
     fn seq_s(&self) -> f64 {
         self.seq_s
     }
     fn rep(&self, threads: usize, spans: Option<&'static Spans>) -> Rep {
         let n = self.input.len();
-        // Each repetition sorts a fresh copy of the input; making the
-        // copy is input preparation, not set-up.
-        let input = self.input.clone();
         run_rep(
             self.tasks(),
-            || {
+            // The repetition's runtime gets a copy of the input, and a
+            // temporary that starts as another copy: every element of it
+            // is written before it is read, and a copy, unlike a zeroed
+            // allocation, is resident before the repetition starts
+            // whatever the allocator reuses. Registration does not read
+            // or size the buffers, so the set-ups whose runtime is
+            // dropped unused register empty ones and follow each other
+            // back to back.
+            |last| {
+                if last {
+                    (self.input.clone(), self.input.clone())
+                } else {
+                    (Vec::new(), Vec::new())
+                }
+            },
+            |(input, tmp)| {
                 let rt = Runtime::builder().threads(threads).build();
                 let data = rt.region_data(input);
-                let tmp = rt.region_data(vec![0 as Elm; n]);
+                let tmp = rt.region_data(tmp);
                 (rt, (data, tmp))
             },
             |rt, (data, tmp)| match spans {
