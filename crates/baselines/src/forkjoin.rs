@@ -192,8 +192,13 @@ impl ForkJoinPool {
             .enumerate()
             .map(|(i, local)| {
                 let shared = Arc::clone(&shared);
+                // A worker blocked in `sync` runs other tasks on its own
+                // stack, so nesting follows the steal pattern, not the
+                // program's recursion depth: 2 MiB overflowed in debug
+                // builds of N Queens. Untouched stack is never committed.
                 std::thread::Builder::new()
                     .name(format!("forkjoin-{}", i + 1))
+                    .stack_size(64 << 20)
                     .spawn(move || worker_loop(shared, local, i + 1))
                     .expect("failed to spawn baseline worker")
             })

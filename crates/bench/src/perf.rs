@@ -696,8 +696,9 @@ pub fn rename_churn(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
 /// Region-log stress (BENCH_0003): rounds of writers over `BLOCKS`
 /// disjoint tiles of one buffer. Each access must be checked against
 /// every live log entry for overlap; a graph-size throttle keeps a few
-/// hundred entries live, so the linear log scans ~256 entries per
-/// access while the indexed log touches only the tile it conflicts on.
+/// hundred tasks live, so a flat scan would check ~256 entries per
+/// access, while the tile-indexed log touches only the tile it
+/// conflicts on (and write shadowing leaves one live writer per block).
 #[inline(never)]
 pub fn region_storm(tasks: u64, reps: usize) -> WorkloadResult {
     const BLOCKS: usize = 64;

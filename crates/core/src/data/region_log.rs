@@ -1,12 +1,11 @@
 //! The region access log: overlap queries for §V.A dependency analysis.
 //!
-//! Every region access must be compared against the live accesses of the
-//! same buffer; overlapping pairs become edges. The seed implementation
-//! kept a flat `Vec` and scanned it whole on every access — O(n) per
-//! access, O(n²) per program, and the dominant cost of region-heavy
-//! workloads (BENCH_0003's `region_storm`).
+//! Every region access is compared against the live accesses of the
+//! same buffer; overlapping conflicting pairs become edges. A flat scan
+//! of the whole log costs O(n) per access and O(n²) per program, which
+//! dominated region-heavy workloads (BENCH_0003's `region_storm`).
 //!
-//! [`IndexedLog`] replaces the scan with a **tile index over the first
+//! [`RegionLog`] instead keeps a **tile index over the first
 //! dimension**: the observed coordinate range is split into
 //! [`TILES`] equal tiles, each holding the handles of the entries whose
 //! dim-0 interval touches it. A query gathers candidates only from the
@@ -15,25 +14,42 @@
 //! stamp, and checks exact N-dimensional overlap on that handful — O(tiles
 //! touched + candidates) instead of O(live entries). Entries whose dim-0
 //! coordinates fall outside the current range trigger an amortised
-//! rebuild with a doubled range.
+//! rebuild with a doubled range. Matches are emitted in insertion
+//! (program) order, so a recorded graph is deterministic.
+//!
+//! **Write shadowing:** when a write `W` is recorded, every matched
+//! entry `E` of another task whose region `W`'s region
+//! [contains](Region::contains) is freed — it has just received its
+//! edge `E → W`. This is sound because:
+//!
+//! * any later access that overlaps `E` also overlaps `W` (same
+//!   conservative arity rule as [`Region::overlaps`]), and conflicts
+//!   with it because `W` writes, so it gets an edge from `W` and the
+//!   ordering `E → W → later` keeps every path of the unshadowed graph:
+//!   **reachability does not change**;
+//! * `OnPanic::CancelDependents` poisons successors along every edge
+//!   kind, so the cancelled set of a failing task — its descendants —
+//!   does not change either;
+//! * [`RegionLog::all_finished`] stays exact: `W` cannot finish (not
+//!   even cancelled, which still waits for its predecessors) before `E`.
+//!
+//! Without shadowing, a chunk rewritten k times by still-pending tasks
+//! hands every later reader k edges instead of one; Figure 7's
+//! multisort has exactly that shape.
 //!
 //! **Eager pruning:** when structural recording is off, finished entries
 //! are dropped the moment a query encounters them, and a periodic sweep
 //! clears tiles that queries never revisit, so the log tracks the live
-//! frontier instead of program history.
-//!
-//! [`LinearLog`] — the retired scan — is kept behind
-//! [`RuntimeBuilder::indexed_regions(false)`](crate::RuntimeBuilder::indexed_regions)
-//! as the ablation baseline and as the oracle for the equivalence tests
-//! below: both logs must emit **exactly** the same edge sequence for any
-//! access sequence.
+//! frontier instead of program history. With recording on, only
+//! shadowing frees entries: the recorder wants edges from finished
+//! producers too.
 //!
 //! **Sharded analysis:** a buffer's log belongs to the lane that owns
 //! the buffer's *representant* id (`runtime::shard::lane_of`). Under
 //! [`RuntimeBuilder::shards`](crate::RuntimeBuilder::shards) ≥ 2,
 //! `dep::region_deps` enters that lane's gate before touching the log,
 //! so all edge analysis over one buffer stays serialised — the
-//! log-insertion-order edge guarantee above holds per buffer unchanged —
+//! insertion-order edge guarantee above holds per buffer unchanged —
 //! while accesses to buffers hashing to different lanes proceed
 //! concurrently.
 
@@ -45,10 +61,10 @@ use crate::graph::record::EdgeKind;
 use crate::ids::TaskId;
 
 /// One logged access.
-pub(crate) struct Access {
-    pub(crate) region: Region,
-    pub(crate) write: bool,
-    pub(crate) node: Arc<TaskNode>,
+struct Access {
+    region: Region,
+    write: bool,
+    node: Arc<TaskNode>,
 }
 
 /// The dependency the pair `(earlier access, this access)` induces, if any.
@@ -60,144 +76,6 @@ fn edge_kind(earlier_write: bool, write: bool) -> Option<EdgeKind> {
         (false, false) => None, // read-read: no dependency
     }
 }
-
-/// A region access log; see the module docs for the two variants.
-pub(crate) enum RegionLog {
-    Linear(LinearLog),
-    Indexed(IndexedLog),
-}
-
-impl RegionLog {
-    pub(crate) fn new(indexed: bool) -> Self {
-        if indexed {
-            RegionLog::Indexed(IndexedLog::default())
-        } else {
-            RegionLog::Linear(LinearLog::default())
-        }
-    }
-
-    /// Analyse one access: emit an edge for every live logged access
-    /// overlapping `region` (in log-insertion order, skipping entries of
-    /// the spawning task `me` itself), prune finished entries when
-    /// `prune`, then append the access.
-    ///
-    /// When `hint` is set, the scan additionally harvests a **locality
-    /// hint**: the worker that ran the most recently logged overlapping
-    /// *finished* writer (`None` when no such entry was encountered).
-    /// The harvest is advisory — the two log variants may disagree on
-    /// entries one of them already pruned — and never influences the
-    /// emitted edges, so the linear/indexed equivalence property is
-    /// untouched.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record(
-        &mut self,
-        region: &Region,
-        write: bool,
-        me: TaskId,
-        node: &Arc<TaskNode>,
-        prune: bool,
-        hint: bool,
-        emit: &mut dyn FnMut(&Arc<TaskNode>, EdgeKind),
-    ) -> Option<usize> {
-        match self {
-            RegionLog::Linear(l) => l.record(region, write, me, node, prune, hint, emit),
-            RegionLog::Indexed(l) => l.record(region, write, me, node, prune, hint, emit),
-        }
-    }
-
-    /// Have all logged accessors finished? (The `with_region` wait.)
-    pub(crate) fn all_finished(&self) -> bool {
-        match self {
-            RegionLog::Linear(l) => l.entries.iter().all(|e| e.node.is_finished()),
-            RegionLog::Indexed(l) => l
-                .slots
-                .iter()
-                .filter_map(|s| s.access.as_ref())
-                .all(|a| a.node.is_finished()),
-        }
-    }
-
-    /// Live entries currently held (test observability).
-    #[cfg(test)]
-    pub(crate) fn live_len(&self) -> usize {
-        match self {
-            RegionLog::Linear(l) => l.entries.len(),
-            RegionLog::Indexed(l) => l.live,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Linear oracle
-// ---------------------------------------------------------------------
-
-/// The retired O(n)-per-access log: scan everything, in order.
-#[derive(Default)]
-pub(crate) struct LinearLog {
-    entries: Vec<Access>,
-}
-
-impl LinearLog {
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &mut self,
-        region: &Region,
-        write: bool,
-        me: TaskId,
-        node: &Arc<TaskNode>,
-        prune: bool,
-        hint: bool,
-        emit: &mut dyn FnMut(&Arc<TaskNode>, EdgeKind),
-    ) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        if prune {
-            // Entries are in insertion order, so "last assignment wins"
-            // harvests the most recently logged finished writer.
-            self.entries.retain(|e| {
-                if e.node.is_finished() {
-                    if hint && e.write && e.node.id() != me && e.region.overlaps(region) {
-                        let w = e.node.ran_on();
-                        if w != HINT_NONE {
-                            best = Some(w);
-                        }
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        for e in self.entries.iter() {
-            if e.node.id() == me {
-                continue; // several regions of one task never self-depend
-            }
-            if !e.region.overlaps(region) {
-                continue;
-            }
-            // Structural-recording mode keeps finished entries: they may
-            // carry the hint (prune mode freed them in the retain above).
-            if hint && e.write && e.node.is_finished() {
-                let w = e.node.ran_on();
-                if w != HINT_NONE {
-                    best = Some(w);
-                }
-            }
-            if let Some(kind) = edge_kind(e.write, write) {
-                emit(&e.node, kind);
-            }
-        }
-        self.entries.push(Access {
-            region: region.clone(),
-            write,
-            node: Arc::clone(node),
-        });
-        best
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tile-indexed log
-// ---------------------------------------------------------------------
 
 /// Tiles over the observed dim-0 coordinate range.
 const TILES: usize = 64;
@@ -217,14 +95,15 @@ struct EntryRef {
 struct Slot {
     gen: u32,
     /// Insertion sequence number: queries sort their matches by it so
-    /// edge emission order equals linear-log (program) order.
+    /// edges are emitted in program order.
     seq: u64,
     /// Last query that visited this slot (dedup across tiles).
     stamp: u64,
     access: Option<Access>,
 }
 
-pub(crate) struct IndexedLog {
+/// A buffer's region access log; see the module docs.
+pub(crate) struct RegionLog {
     slots: Vec<Slot>,
     free: Vec<u32>,
     live: usize,
@@ -247,9 +126,9 @@ pub(crate) struct IndexedLog {
     want_hint: bool,
 }
 
-impl Default for IndexedLog {
+impl Default for RegionLog {
     fn default() -> Self {
-        IndexedLog {
+        RegionLog {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -273,7 +152,7 @@ fn dim0(region: &Region) -> RegionBound {
     region.dims().first().copied().unwrap_or(RegionBound::Full)
 }
 
-impl IndexedLog {
+impl RegionLog {
     fn tile_width(&self) -> usize {
         ((self.hi - self.lo) / TILES).max(1)
     }
@@ -417,8 +296,7 @@ impl IndexedLog {
             }
             if prune && slot.access.as_ref().unwrap().node.is_finished() {
                 // About to be pruned: an overlapping finished writer is
-                // exactly a locality-hint source (the linear log
-                // harvests the same entries in its retain pass).
+                // exactly a locality-hint source.
                 if self.want_hint {
                     let seq = slot.seq;
                     let a = slot.access.as_ref().unwrap();
@@ -446,8 +324,18 @@ impl IndexedLog {
         }
     }
 
+    /// Analyse one access: emit an edge for every live logged access
+    /// of another task that overlaps `region` and conflicts with it (in
+    /// insertion order; `me` is the spawning task), free the entries a
+    /// write shadows, prune finished entries when `prune`, then append
+    /// the access.
+    ///
+    /// When `hint` is set, the query also harvests a **locality hint**:
+    /// the worker that ran the most recently logged overlapping
+    /// *finished* writer it saw (`None` when there was none). The hint is
+    /// advisory and never influences the emitted edges.
     #[allow(clippy::too_many_arguments)]
-    fn record(
+    pub(crate) fn record(
         &mut self,
         region: &Region,
         write: bool,
@@ -493,7 +381,7 @@ impl IndexedLog {
             }
         }
 
-        // Emit in insertion order — exactly the linear log's order.
+        // Emit in insertion (program) order.
         self.matches.sort_unstable_by_key(|&(seq, _)| seq);
         let matches = std::mem::take(&mut self.matches);
         for &(seq, idx) in &matches {
@@ -509,6 +397,12 @@ impl IndexedLog {
             }
             if let Some(kind) = edge_kind(a.write, write) {
                 emit(&a.node, kind);
+            }
+            // Write shadowing (module docs): every later access that
+            // overlaps `a` conflicts with this write, whose new edge
+            // from `a` keeps the ordering; `a` itself is dead weight.
+            if write && region.contains(&a.region) {
+                self.free_slot(idx);
             }
         }
         self.matches = matches;
@@ -551,6 +445,20 @@ impl IndexedLog {
         self.register(idx);
         self.hint_best.map(|(_, w)| w)
     }
+
+    /// Have all logged accessors finished? (The `with_region` wait.)
+    pub(crate) fn all_finished(&self) -> bool {
+        self.slots
+            .iter()
+            .filter_map(|s| s.access.as_ref())
+            .all(|a| a.node.is_finished())
+    }
+
+    /// Live entries currently held (test observability).
+    #[cfg(test)]
+    pub(crate) fn live_len(&self) -> usize {
+        self.live
+    }
 }
 
 #[cfg(test)]
@@ -570,138 +478,220 @@ mod tests {
 
     type Emitted = Vec<(u64, EdgeKind)>;
 
-    /// Apply the same access to both logs, returning the emitted
-    /// `(producer id, kind)` sequences for comparison.
-    fn record_both(
-        linear: &mut RegionLog,
-        indexed: &mut RegionLog,
+    /// Record one access of task `n`, returning the emitted
+    /// `(producer id, kind)` sequence.
+    fn record(
+        log: &mut RegionLog,
         region: &Region,
         write: bool,
-        me: TaskId,
-        node: &Arc<TaskNode>,
+        n: &Arc<TaskNode>,
         prune: bool,
-    ) -> (Emitted, Emitted) {
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        linear.record(region, write, me, node, prune, true, &mut |n, k| {
-            a.push((n.id().0, k))
+    ) -> Emitted {
+        let mut out = Vec::new();
+        log.record(region, write, n.id(), n, prune, true, &mut |p, k| {
+            out.push((p.id().0, k))
         });
-        indexed.record(region, write, me, node, prune, true, &mut |n, k| {
-            b.push((n.id().0, k))
-        });
-        (a, b)
+        out
     }
 
+    /// Same-region accesses per block: shadowing leaves exactly the last
+    /// writer and the readers after it, so each access's edges follow
+    /// from that per-block state alone.
     #[test]
-    fn indexed_matches_linear_on_a_block_pattern() {
-        let mut lin = RegionLog::new(false);
-        let mut idx = RegionLog::new(true);
-        let nodes: Vec<_> = (1..=40).map(node).collect();
-        for (i, n) in nodes.iter().enumerate() {
+    fn block_pattern_edges_come_from_the_last_writer() {
+        let mut log = RegionLog::default();
+        let mut state: Vec<(Option<u64>, Vec<u64>)> = vec![(None, Vec::new()); 8];
+        for i in 0..40usize {
+            let n = node(i as u64 + 1);
             let b = i % 8;
-            let region = Region::d1(b * 10..=b * 10 + 9);
-            let (a, bq) = record_both(
-                &mut lin,
-                &mut idx,
-                &region,
-                i % 3 != 0,
-                n.id(),
-                n,
-                false,
-            );
-            assert_eq!(a, bq, "access {} diverged", i);
+            let write = i % 3 != 0;
+            let got = record(&mut log, &Region::d1(b * 10..=b * 10 + 9), write, &n, false);
+            let (last, readers) = &mut state[b];
+            let mut want: Emitted = Vec::new();
+            if write {
+                want.extend(last.map(|w| (w, EdgeKind::Output)));
+                want.extend(readers.iter().map(|&r| (r, EdgeKind::Anti)));
+                *last = Some(n.id().0);
+                readers.clear();
+            } else {
+                want.extend(last.map(|w| (w, EdgeKind::True)));
+                readers.push(n.id().0);
+            }
+            assert_eq!(got, want, "access {}", i);
+            let held: usize = state
+                .iter()
+                .map(|(w, r)| usize::from(w.is_some()) + r.len())
+                .sum();
+            assert_eq!(log.live_len(), held, "access {}", i);
         }
     }
 
+    /// Shadowing uses N-D containment with the conservative arity rule:
+    /// a 1-D write covers 2-D entries, `Region::all()` covers everything,
+    /// and a write that only overlaps an entry keeps it.
     #[test]
-    fn indexed_matches_linear_with_full_and_2d_regions() {
-        let mut lin = RegionLog::new(false);
-        let mut idx = RegionLog::new(true);
-        let regions = [
-            Region::all(),
-            Region::d1(0..=9),
-            Region::d2(0..=3, 0..=3),
-            Region::d2(2..=5, 4..=7),
-            Region::d1(100..=220),
-            Region::d2(0..=100, 2..=2),
-        ];
-        let nodes: Vec<_> = (1..=30).map(node).collect();
-        for (i, n) in nodes.iter().enumerate() {
-            let region = &regions[i % regions.len()];
-            let (a, b) = record_both(
-                &mut lin,
-                &mut idx,
-                region,
-                i % 2 == 0,
-                n.id(),
-                n,
-                false,
-            );
-            assert_eq!(a, b, "access {} diverged", i);
+    fn full_and_2d_writes_shadow_contained_entries() {
+        use EdgeKind::{Anti, Output, True};
+        let mut log = RegionLog::default();
+        let n: Vec<_> = (0..=8).map(node).collect();
+        assert!(record(&mut log, &Region::d2(0..=3, 0..=3), true, &n[1], false).is_empty());
+        assert!(record(&mut log, &Region::d2(2..=5, 4..=7), true, &n[2], false).is_empty());
+        // Missing dim 1 is full: the 1-D write contains both tiles.
+        let got = record(&mut log, &Region::d1(0..=9), true, &n[3], false);
+        assert_eq!(got, vec![(1, Output), (2, Output)]);
+        assert_eq!(log.live_len(), 1);
+        let got = record(&mut log, &Region::d2(0..=0, 0..=0), false, &n[4], false);
+        assert_eq!(got, vec![(3, True)]);
+        let got = record(&mut log, &Region::all(), true, &n[5], false);
+        assert_eq!(got, vec![(3, Output), (4, Anti)]);
+        assert_eq!(log.live_len(), 1);
+        // A bounded write cannot contain `all()`: both stay live.
+        let got = record(&mut log, &Region::d1(0..=1), true, &n[6], false);
+        assert_eq!(got, vec![(5, Output)]);
+        let got = record(&mut log, &Region::d1(100..=220), false, &n[7], false);
+        assert_eq!(got, vec![(5, True)]);
+        // Overlapping [0, 1] without containing it keeps task 6's entry.
+        let got = record(&mut log, &Region::d1(1..=2), true, &n[8], false);
+        assert_eq!(got, vec![(5, Output), (6, Output)]);
+        assert_eq!(log.live_len(), 4);
+    }
+
+    /// Figure 7's multisort shape: each chunk is rewritten many times by
+    /// tasks that never finish, then reads span all chunks. Each read
+    /// sees only the last writer of each chunk, and the log holds the
+    /// live frontier, not the history — in both pruning modes.
+    #[test]
+    fn rewritten_chunks_keep_one_writer_per_chunk() {
+        const CHUNK: usize = 4096;
+        let (chunks, rewrites, readers) = (16usize, 6usize, 3usize);
+        for prune in [false, true] {
+            let mut log = RegionLog::default();
+            let mut ids = 0u64;
+            let mut keep = Vec::new(); // the tasks never finish
+            let mut last = vec![0u64; chunks];
+            for _ in 0..rewrites {
+                for (c, last) in last.iter_mut().enumerate() {
+                    ids += 1;
+                    let n = node(ids);
+                    let r = Region::d1(c * CHUNK..=(c + 1) * CHUNK - 1);
+                    record(&mut log, &r, true, &n, prune);
+                    *last = ids;
+                    keep.push(n);
+                }
+            }
+            assert_eq!(log.live_len(), chunks, "prune={}", prune);
+            for k in 0..readers {
+                ids += 1;
+                let n = node(ids);
+                let got = record(
+                    &mut log,
+                    &Region::d1(0..=chunks * CHUNK - 1),
+                    false,
+                    &n,
+                    prune,
+                );
+                let want: Emitted = last.iter().map(|&w| (w, EdgeKind::True)).collect();
+                assert_eq!(got, want, "prune={} reader {}", prune, k);
+                assert!(log.live_len() <= chunks + k + 1, "prune={}", prune);
+                keep.push(n);
+            }
         }
     }
 
+    /// Pruning drops only finished entries: with a trailing completion
+    /// frontier, the pruning log emits exactly the recording log's edges
+    /// whose producer is still unfinished, in the same order.
     #[test]
     fn pruning_drops_finished_entries_and_preserves_edges() {
-        let mut lin = RegionLog::new(false);
-        let mut idx = RegionLog::new(true);
-        let nodes: Vec<_> = (1..=20).map(node).collect();
+        let mut recording = RegionLog::default();
+        let mut pruning = RegionLog::default();
+        let nodes: Vec<_> = (1..=60).map(node).collect();
         for (i, n) in nodes.iter().enumerate() {
             if i >= 4 {
-                finish(&nodes[i - 4]); // trailing completion frontier
+                finish(&nodes[i - 4]);
             }
-            let region = Region::d1((i % 5) * 8..=(i % 5) * 8 + 11);
-            let (a, b) = record_both(&mut lin, &mut idx, &region, true, n.id(), n, true);
-            assert_eq!(a, b, "access {} diverged under pruning", i);
+            let region = match i % 4 {
+                0 => Region::d1((i % 5) * 8..=(i % 5) * 8 + 11),
+                1 => Region::d1((i % 7) * 6..=(i % 7) * 6 + 3),
+                2 => Region::d2((i % 3) * 10..=(i % 3) * 10 + 14, 0..=3),
+                _ => Region::d1(0..=39),
+            };
+            let write = i % 5 != 2;
+            let mut want = Vec::new();
+            recording.record(&region, write, n.id(), n, false, false, &mut |p, k| {
+                if !p.is_finished() {
+                    want.push((p.id().0, k));
+                }
+            });
+            let got = record(&mut pruning, &region, write, n, true);
+            assert_eq!(got, want, "access {}", i);
+            assert!(pruning.live_len() <= recording.live_len());
         }
-        // The linear log pruned every finished entry; the indexed log
-        // prunes what queries touch (all tiles were touched here).
-        assert!(lin.live_len() <= 20);
-        assert!(idx.live_len() <= lin.live_len() + 4);
     }
 
     #[test]
     fn self_accesses_do_not_self_depend() {
-        for indexed in [false, true] {
-            let mut log = RegionLog::new(indexed);
-            let n = node(1);
-            let mut edges = 0usize;
-            let mut emit = |_: &Arc<TaskNode>, _: EdgeKind| edges += 1;
-            log.record(&Region::d1(0..=9), true, TaskId(1), &n, true, false, &mut emit);
-            log.record(&Region::d1(5..=14), true, TaskId(1), &n, true, false, &mut emit);
-            assert_eq!(edges, 0, "indexed={}", indexed);
-        }
+        let mut log = RegionLog::default();
+        let n = node(1);
+        assert!(record(&mut log, &Region::d1(0..=9), true, &n, true).is_empty());
+        assert!(record(&mut log, &Region::d1(5..=14), true, &n, true).is_empty());
+        // A task's own entries are never shadowed by its own writes.
+        assert!(record(&mut log, &Region::d1(0..=20), true, &n, true).is_empty());
+        assert_eq!(log.live_len(), 3);
     }
 
     #[test]
     fn all_finished_tracks_completion() {
-        for indexed in [false, true] {
-            let mut log = RegionLog::new(indexed);
-            let n = node(1);
-            log.record(&Region::d1(0..=3), true, TaskId(1), &n, true, false, &mut |_, _| {});
-            assert!(!log.all_finished(), "indexed={}", indexed);
-            finish(&n);
-            assert!(log.all_finished(), "indexed={}", indexed);
-        }
+        let mut log = RegionLog::default();
+        let n = node(1);
+        record(&mut log, &Region::d1(0..=3), true, &n, true);
+        assert!(!log.all_finished());
+        finish(&n);
+        assert!(log.all_finished());
     }
 
-    /// The ISSUE-3 equivalence property: for random access sequences —
-    /// random 1-D/2-D/full regions, random read/write directions,
-    /// random completion interleavings, pruning on and off (recording
-    /// off and on) — the indexed log emits **exactly** the same edge
-    /// sequence (producer id + kind, in order) as the retired linear
-    /// scan. The runtime-level twin (renaming on/off through the public
-    /// API) lives in `tests/regions.rs`.
+    #[test]
+    fn range_growth_rebuilds_and_keeps_entries_queryable() {
+        let mut log = RegionLog::default();
+        record(&mut log, &Region::d1(0..=9), true, &node(1), false);
+        // Far outside the initial range: forces a rebuild.
+        record(
+            &mut log,
+            &Region::d1(100_000..=100_009),
+            true,
+            &node(2),
+            false,
+        );
+        // Overlaps the first entry: the rebuilt index must still find it.
+        let hit = record(&mut log, &Region::d1(5..=6), false, &node(3), false);
+        assert_eq!(hit, vec![(1, EdgeKind::True)]);
+    }
+
+    /// For random access sequences — random 1-D/2-D/full regions,
+    /// random directions, tasks with one or more accesses, random
+    /// completion interleavings, pruning on and off — the tile-indexed
+    /// log emits **exactly** the edge sequence (producer id + kind, in
+    /// order) of a brute-force scan over every logged access with the
+    /// same shadowing rule. The runtime-level oracle over recorded
+    /// graphs lives in `tests/regions.rs`.
     mod equivalence {
         use super::*;
         use proptest::prelude::*;
 
-        /// One scripted access: region shape, direction, and how many
-        /// of the oldest unfinished accessors complete first.
-        type Op = (usize, usize, usize, usize, usize);
+        /// One scripted access: region shape, direction, how many of the
+        /// oldest unfinished tasks complete first, and whether it joins
+        /// the previous (still unfinished) task.
+        type Op = (usize, usize, usize, usize, usize, usize);
 
         fn op() -> impl Strategy<Value = Op> {
-            (0..6usize, 0..90usize, 1..24usize, 0..2usize, 0..3usize)
+            (
+                0..6usize,
+                0..90usize,
+                1..24usize,
+                0..2usize,
+                0..3usize,
+                0..4usize,
+            )
         }
 
         fn region_of(kind: usize, a: usize, len: usize) -> Region {
@@ -716,73 +706,82 @@ mod tests {
             }
         }
 
+        /// The reference: every logged access in insertion order, scanned
+        /// in full by each query.
+        #[derive(Default)]
+        struct BruteLog {
+            entries: Vec<Access>,
+        }
+
+        impl BruteLog {
+            fn record(
+                &mut self,
+                region: &Region,
+                write: bool,
+                n: &Arc<TaskNode>,
+                prune: bool,
+            ) -> Emitted {
+                let mut out = Vec::new();
+                self.entries.retain(|e| {
+                    if prune && e.node.is_finished() {
+                        return false;
+                    }
+                    let Some(kind) = edge_kind(e.write, write) else {
+                        return true;
+                    };
+                    if e.node.id() == n.id() || !e.region.overlaps(region) {
+                        return true;
+                    }
+                    out.push((e.node.id().0, kind));
+                    !(write && region.contains(&e.region))
+                });
+                self.entries.push(Access {
+                    region: region.clone(),
+                    write,
+                    node: Arc::clone(n),
+                });
+                out
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             #[test]
-            fn indexed_log_emits_exactly_the_linear_edge_sequence(
+            fn indexed_log_emits_exactly_the_brute_force_edge_sequence(
                 ops in proptest::collection::vec(op(), 1..80),
                 prune in 0..2usize,
             ) {
                 let prune = prune == 1;
-                let mut lin = RegionLog::new(false);
-                let mut idx = RegionLog::new(true);
-                let mut nodes: Vec<Arc<TaskNode>> = Vec::new();
+                let mut brute = BruteLog::default();
+                let mut log = RegionLog::default();
+                let mut tasks: Vec<Arc<TaskNode>> = Vec::new();
                 let mut next_unfinished = 0usize;
-                for (i, &(kind, a, len, write, fin)) in ops.iter().enumerate() {
-                    // Complete `fin` of the oldest unfinished accessors.
+                for (i, &(kind, a, len, write, fin, join)) in ops.iter().enumerate() {
+                    // Complete `fin` of the oldest unfinished tasks.
                     for _ in 0..fin {
-                        if next_unfinished < nodes.len() {
-                            finish(&nodes[next_unfinished]);
+                        if next_unfinished < tasks.len() {
+                            finish(&tasks[next_unfinished]);
                             next_unfinished += 1;
                         }
                     }
-                    let n = node(i as u64 + 1);
-                    nodes.push(Arc::clone(&n));
+                    if join != 0 || next_unfinished == tasks.len() {
+                        tasks.push(node(i as u64 + 1));
+                    }
+                    let n = Arc::clone(tasks.last().unwrap());
                     let region = region_of(kind, a, len);
-                    let (le, ie) = record_both(
-                        &mut lin,
-                        &mut idx,
-                        &region,
-                        write == 1,
-                        n.id(),
-                        &n,
-                        prune,
-                    );
-                    prop_assert_eq!(le, ie, "access {} diverged (prune={})", i, prune);
+                    let want = brute.record(&region, write == 1, &n, prune);
+                    let got = record(&mut log, &region, write == 1, &n, prune);
+                    prop_assert_eq!(got, want, "access {} diverged (prune={})", i, prune);
+                    if !prune {
+                        prop_assert_eq!(log.live_len(), brute.entries.len());
+                    }
                 }
-                // Liveness agrees too once both logs have pruned what
-                // they can see: every unfinished entry is still tracked.
                 prop_assert_eq!(
-                    lin.all_finished(),
-                    idx.all_finished()
+                    log.all_finished(),
+                    brute.entries.iter().all(|e| e.node.is_finished())
                 );
             }
         }
-    }
-
-    #[test]
-    fn range_growth_rebuilds_and_keeps_entries_queryable() {
-        let mut log = RegionLog::new(true);
-        let n1 = node(1);
-        log.record(&Region::d1(0..=9), true, TaskId(1), &n1, false, false, &mut |_, _| {});
-        // Far outside the initial range: forces a rebuild.
-        let n2 = node(2);
-        log.record(
-            &Region::d1(100_000..=100_009),
-            true,
-            TaskId(2),
-            &n2,
-            false,
-            false,
-            &mut |_, _| {},
-        );
-        // Overlaps the first entry: the rebuilt index must still find it.
-        let n3 = node(3);
-        let mut hit = Vec::new();
-        log.record(&Region::d1(5..=6), false, TaskId(3), &n3, false, false, &mut |n, k| {
-            hit.push((n.id().0, k))
-        });
-        assert_eq!(hit, vec![(1, EdgeKind::True)]);
     }
 }

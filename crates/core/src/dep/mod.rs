@@ -41,9 +41,11 @@
 //! links edges (including the producer edge, borrowed in place — no
 //! `Arc` clone per parameter) while *inside* the cell. The cell is not
 //! a lock, so no lock-ordering concern arises from taking the
-//! structural-recording mutex within it; the region analyser's log
-//! mutex (shared with workers' completion marks) is a real lock and
-//! nothing acquires it while holding the graph mutex.
+//! structural-recording mutex within it. The region analyser's log
+//! mutex is a real lock, but only spawning threads (`region_deps`)
+//! and the `with_region`/`update_region` quiescence checks take it —
+//! workers completing tasks never do — and nothing acquires it while
+//! holding the graph mutex.
 
 use std::sync::Arc;
 

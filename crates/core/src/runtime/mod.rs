@@ -910,11 +910,7 @@ impl Runtime {
         self.shared.next_obj.store(next, Ordering::Relaxed);
         let id = ObjectId(next);
         RegionHandle {
-            obj: Arc::new(RegionObject::new(
-                id,
-                value,
-                self.shared.cfg.indexed_regions,
-            )),
+            obj: Arc::new(RegionObject::new(id, value)),
         }
     }
 

@@ -246,90 +246,477 @@ fn two_dimensional_regions_track_submatrices() {
     assert_eq!(g.predecessors(TaskId(2)).len(), 0);
 }
 
-/// ISSUE-3 equivalence through the public API: the tile-indexed region
-/// log must produce *exactly* the recorded edge set (kind + endpoints,
-/// in order) of the retired linear scan, on a pseudo-random program of
-/// overlapping 1-D and 2-D accesses — renaming on and off (the region
-/// analyser never renames, but whole-object renaming interleaves with
-/// region tracking in mixed programs, so both switches are exercised).
-#[test]
-fn indexed_region_log_records_the_same_graph_as_linear() {
-    fn run(indexed: bool, renaming: bool) -> Vec<(u64, u64, smpss::graph::record::EdgeKind)> {
-        let rt = Runtime::builder()
-            .threads(1)
-            .indexed_regions(indexed)
-            .renaming(renaming)
-            .record_graph(true)
-            .build();
-        let a = rt.region_data(vec![0u32; 400]);
-        let b = rt.region_data(vec![0u32; 1024]); // 32x32, row-major
-        let obj = rt.data(0u64); // whole-object traffic interleaved
-        // Deterministic LCG so both configurations see one program.
-        let mut seed = 0x2545F4914F6CDD1Du64;
-        let mut rand = move |m: usize| {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((seed >> 33) as usize) % m
+/// An independent reference for region analysis. It sees only the
+/// access sequence — task, buffer, region, direction — and does its own
+/// interval arithmetic, so it shares no code with the runtime's log.
+mod reference {
+    use smpss::graph::record::EdgeKind;
+    use smpss::{Region, RegionBound};
+    use std::collections::BTreeSet;
+
+    /// Buffer 0 is a 64-element vector; buffer 1 is 8 x 8, row-major.
+    pub const SIDE: usize = 8;
+    pub const LEN: usize = SIDE * SIDE;
+
+    /// One dimension's inclusive interval; `None` is the whole extent.
+    /// A missing trailing dimension is whole too.
+    pub type Dim = Option<(usize, usize)>;
+
+    #[derive(Clone, Debug)]
+    pub struct Access {
+        pub buf: usize,
+        pub dims: Vec<Dim>,
+        pub write: bool,
+    }
+
+    /// Each task's accesses, in declaration order; task `t` is the
+    /// runtime's `TaskId(t + 1)`.
+    pub type Program = Vec<Vec<Access>>;
+
+    fn dim(d: &[Dim], i: usize) -> Dim {
+        d.get(i).copied().flatten()
+    }
+
+    fn overlaps(a: &[Dim], b: &[Dim]) -> bool {
+        (0..a.len().max(b.len())).all(|i| match (dim(a, i), dim(b, i)) {
+            (Some((l1, u1)), Some((l2, u2))) => l1 <= u2 && l2 <= u1,
+            _ => true,
+        })
+    }
+
+    fn contains(outer: &[Dim], inner: &[Dim]) -> bool {
+        (0..outer.len().max(inner.len())).all(|i| match (dim(outer, i), dim(inner, i)) {
+            (None, _) => true,
+            (Some(_), None) => false,
+            (Some((l1, u1)), Some((l2, u2))) => l1 <= l2 && u2 <= u1,
+        })
+    }
+
+    pub fn region(a: &Access) -> Region {
+        let bound = |d: &Dim| match *d {
+            None => RegionBound::Full,
+            Some((l, u)) => RegionBound::Bounds(l, u),
         };
-        for i in 0..160 {
-            match rand(5) {
-                0 => {
-                    // 1-D block write on `a`.
-                    let lo = rand(380);
-                    let hi = lo + 1 + rand(19);
-                    let mut sp = rt.task("w1d");
-                    let mut w = sp.write_region(&a, region![lo..=hi]);
-                    sp.submit(move || w.slice_mut(lo, hi)[0] = i);
-                }
-                1 => {
-                    // 1-D read, sometimes the whole array.
-                    let mut sp = rt.task("r1d");
-                    let whole = rand(4) == 0;
-                    let (lo, hi) = if whole { (0, 399) } else { (rand(380), 399) };
-                    let mut r = sp.read_region(&a, region![lo..=hi]);
-                    sp.submit(move || {
-                        std::hint::black_box(r.slice(lo, hi)[0]);
-                    });
-                }
-                2 => {
-                    // 2-D tile inout on `b`.
-                    let r0 = rand(28);
-                    let c0 = rand(28);
-                    let (r1, c1) = (r0 + rand(4), c0 + rand(4));
-                    let mut sp = rt.task("w2d");
-                    let mut w = sp.inout_region(&b, region![r0..=r1, c0..=c1]);
-                    sp.submit(move || w.row_slice_mut(32, r0, c0, c1)[0] = i);
-                }
-                3 => {
-                    // Full-dimension row read on `b`.
-                    let r0 = rand(32);
-                    let mut sp = rt.task("rrow");
-                    let mut r = sp.read_region(&b, region![r0..=r0, ..]);
-                    sp.submit(move || {
-                        std::hint::black_box(r.row_slice(32, r0, 0, 31)[0]);
-                    });
-                }
-                _ => {
-                    // Whole-object churn: exercises renaming next to the
-                    // region log.
-                    let mut sp = rt.task("bump");
-                    let mut w = sp.inout(&obj);
-                    sp.submit(move || *w.get_mut() += 1);
+        Region::new(a.dims.iter().map(bound).collect())
+    }
+
+    /// The flat ranges an access covers, as `(row, lo, hi)` with
+    /// inclusive `lo..=hi` inside `row` (always row 0 for buffer 0).
+    pub fn segments(a: &Access) -> Vec<(usize, usize, usize)> {
+        let whole = |d: Dim, n: usize| d.unwrap_or((0, n - 1));
+        if a.buf == 0 {
+            let (l, u) = whole(dim(&a.dims, 0), LEN);
+            vec![(0, l, u)]
+        } else {
+            let (r0, r1) = whole(dim(&a.dims, 0), SIDE);
+            let (c0, c1) = whole(dim(&a.dims, 1), SIDE);
+            (r0..=r1).map(|r| (r, c0, c1)).collect()
+        }
+    }
+
+    fn elements(a: &Access) -> impl Iterator<Item = usize> {
+        let stride = if a.buf == 0 { 0 } else { SIDE };
+        segments(a)
+            .into_iter()
+            .flat_map(move |(r, l, u)| (l..=u).map(move |c| r * stride + c))
+    }
+
+    /// The dependency an (earlier, later) conflicting pair induces.
+    pub fn kind(earlier_write: bool, write: bool) -> EdgeKind {
+        match (earlier_write, write) {
+            (true, false) => EdgeKind::True,
+            (true, true) => EdgeKind::Output,
+            _ => EdgeKind::Anti,
+        }
+    }
+
+    /// The program as one access sequence of `(task, access)`.
+    pub fn sequence(p: &Program) -> Vec<(usize, &Access)> {
+        p.iter()
+            .enumerate()
+            .flat_map(|(t, accs)| accs.iter().map(move |a| (t, a)))
+            .collect()
+    }
+
+    /// Do two accesses of different tasks conflict?
+    pub fn conflict(a: &Access, b: &Access) -> bool {
+        a.buf == b.buf && (a.write || b.write) && overlaps(&a.dims, &b.dims)
+    }
+
+    /// Is access `i` of `seq` shadowed before access `j`: did a write of
+    /// another task contain it in between?
+    pub fn shadowed(seq: &[(usize, &Access)], i: usize, j: usize) -> bool {
+        let (ti, ai) = seq[i];
+        seq[i + 1..j].iter().any(|&(tk, ak)| {
+            ak.write && tk != ti && ak.buf == ai.buf && contains(&ak.dims, &ai.dims)
+        })
+    }
+
+    /// The full conflict relation between tasks: every `(earlier,
+    /// later)` pair with a conflicting access pair.
+    pub fn conflict_pairs(p: &Program) -> BTreeSet<(usize, usize)> {
+        let seq = sequence(p);
+        let mut pairs = BTreeSet::new();
+        for (j, &(tj, aj)) in seq.iter().enumerate() {
+            for &(ti, ai) in &seq[..j] {
+                if ti != tj && conflict(ai, aj) {
+                    pairs.insert((ti, tj));
                 }
             }
         }
-        rt.barrier();
-        let g = rt.graph().expect("recording on");
-        g.edges().iter().map(|&(f, t, k)| (f.0, t.0, k)).collect()
+        pairs
     }
 
-    for renaming in [true, false] {
-        let linear = run(false, renaming);
-        let indexed = run(true, renaming);
-        assert_eq!(
-            linear, indexed,
-            "edge sequences diverged (renaming={})",
-            renaming
+    /// Descendants of every task under a forward-pointing edge set.
+    pub fn descendants(n: usize, edges: &BTreeSet<(usize, usize)>) -> Vec<BTreeSet<usize>> {
+        let mut desc = vec![BTreeSet::new(); n];
+        for t in (0..n).rev() {
+            let mut d = BTreeSet::new();
+            for &(_, s) in edges.range((t, 0)..(t + 1, 0)) {
+                d.insert(s);
+                d.extend(desc[s].iter().copied());
+            }
+            desc[t] = d;
+        }
+        desc
+    }
+
+    /// Sequential execution: writes stamp `task + 1` into their
+    /// elements. Returns, per task and access, what each read sees
+    /// (empty for writes), and the final contents of both buffers.
+    pub fn replay(p: &Program) -> (Vec<Vec<Vec<u32>>>, [Vec<u32>; 2]) {
+        let mut mem = [vec![0u32; LEN], vec![0u32; LEN]];
+        let mut seen = Vec::new();
+        for (t, accs) in p.iter().enumerate() {
+            let mut per_task = Vec::new();
+            for a in accs {
+                if a.write {
+                    for e in elements(a) {
+                        mem[a.buf][e] = t as u32 + 1;
+                    }
+                    per_task.push(Vec::new());
+                } else {
+                    per_task.push(elements(a).map(|e| mem[a.buf][e]).collect());
+                }
+            }
+            seen.push(per_task);
+        }
+        (seen, mem)
+    }
+}
+
+mod random_programs {
+    use super::reference::{self, Access, Dim, Program, LEN, SIDE};
+    use proptest::prelude::*;
+    use smpss::data::region_handle::{RegionReadBinding, RegionWriteBinding};
+    use smpss::{RegionHandle, Runtime};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// `(buffer, shape, a, b, len, write)`.
+    type Raw = (usize, usize, usize, usize, usize, usize);
+
+    /// Turn raw draws into an access. Chunk- and quadrant-aligned shapes
+    /// make containment (and so shadowing) common; free-form intervals
+    /// make partial overlaps common.
+    fn access((buf, shape, a, b, len, write): Raw) -> Access {
+        let last = SIDE - 1;
+        let dims: Vec<Dim> = match (buf, shape) {
+            (0, 0) => vec![Some((a, (a + len).min(LEN - 1)))],
+            (0, 1) => {
+                let c = a % SIDE;
+                vec![Some((
+                    c * SIDE,
+                    ((c + 1 + len % 3) * SIDE - 1).min(LEN - 1),
+                ))]
+            }
+            (0, 2) => vec![Some(((a % SIDE) * SIDE, (a % SIDE) * SIDE + last))],
+            (1, 0) => {
+                let (r, c) = (a % SIDE, b % SIDE);
+                vec![
+                    Some((r, (r + len % 4).min(last))),
+                    Some((c, (c + len / 4).min(last))),
+                ]
+            }
+            (1, 1) => vec![Some((a % SIDE, a % SIDE)), None],
+            (1, 2) => {
+                let (r, c) = ((a % 2) * 4, (b % 2) * 4);
+                vec![Some((r, r + 3)), Some((c, c + 3))]
+            }
+            _ => vec![None], // Region::all()
+        };
+        Access {
+            buf,
+            dims,
+            write: write == 1,
+        }
+    }
+
+    pub fn program() -> impl Strategy<Value = Program> {
+        let raw = (
+            0..2usize,
+            0..4usize,
+            0..64usize,
+            0..64usize,
+            0..16usize,
+            0..2usize,
         );
-        assert!(!linear.is_empty(), "program must induce edges");
+        proptest::collection::vec(proptest::collection::vec(raw.prop_map(access), 1..4), 1..40)
+    }
+
+    enum Binding {
+        Read(RegionReadBinding<Vec<u32>>, Access, Vec<u32>),
+        Write(RegionWriteBinding<Vec<u32>>, Access),
+    }
+
+    /// Spawn `p` on `rt`. A body replays its accesses in declaration
+    /// order: a write stamps the task id into its elements, a read
+    /// compares with `seen` (the sequential replay) and counts
+    /// mismatches. Task `fail`, if given, waits for `gate` and panics.
+    pub fn spawn(
+        rt: &Runtime,
+        bufs: &[RegionHandle<Vec<u32>>; 2],
+        p: &Program,
+        seen: &[Vec<Vec<u32>>],
+        mismatches: &Arc<AtomicUsize>,
+        fail: Option<(usize, &Arc<AtomicBool>)>,
+    ) {
+        for (t, accs) in p.iter().enumerate() {
+            let mut sp = rt.task("acc");
+            let mut binds = Vec::new();
+            for (a, want) in accs.iter().zip(&seen[t]) {
+                let h = &bufs[a.buf];
+                binds.push(if a.write {
+                    Binding::Write(sp.write_region(h, reference::region(a)), a.clone())
+                } else {
+                    let r = sp.read_region(h, reference::region(a));
+                    Binding::Read(r, a.clone(), want.clone())
+                });
+            }
+            if let Some((f, gate)) = fail.filter(|&(f, _)| f == t) {
+                drop(binds); // declared for the analysis; never touched
+                let gate = Arc::clone(gate);
+                sp.submit(move || {
+                    while !gate.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    panic!("task {} fails on purpose", f + 1);
+                });
+                continue;
+            }
+            let stamp = t as u32 + 1;
+            let mismatches = Arc::clone(mismatches);
+            sp.submit(move || {
+                for b in binds {
+                    match b {
+                        Binding::Write(mut w, a) => {
+                            for (r, l, u) in reference::segments(&a) {
+                                let s = if a.buf == 0 {
+                                    w.slice_mut(l, u)
+                                } else {
+                                    w.row_slice_mut(SIDE, r, l, u)
+                                };
+                                s.fill(stamp);
+                            }
+                        }
+                        Binding::Read(mut rd, a, want) => {
+                            let mut got = Vec::new();
+                            for (r, l, u) in reference::segments(&a) {
+                                let s = if a.buf == 0 {
+                                    rd.slice(l, u)
+                                } else {
+                                    rd.row_slice(SIDE, r, l, u)
+                                };
+                                got.extend_from_slice(s);
+                            }
+                            if got != want {
+                                mismatches.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    }
+}
+
+/// Worker-thread panics are the subject of the cancellation test: keep
+/// their backtraces out of the test output.
+fn quiet_worker_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let in_worker = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("smpss-worker"));
+            if !in_worker {
+                prev(info);
+            }
+        }));
+    });
+}
+
+mod oracle {
+    use super::random_programs::{program, spawn};
+    use super::reference::{self, Program};
+    use proptest::prelude::*;
+    use smpss::Runtime;
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    fn check(p: &Program) {
+        let rt = Runtime::builder().threads(1).record_graph(true).build();
+        let bufs = [
+            rt.region_data(vec![0u32; reference::LEN]),
+            rt.region_data(vec![0u32; reference::LEN]),
+        ];
+        let (seen, _) = reference::replay(p);
+        let mismatches = Arc::new(AtomicUsize::new(0));
+        spawn(&rt, &bufs, p, &seen, &mismatches, None);
+        rt.barrier();
+        assert_eq!(
+            mismatches.load(Ordering::Relaxed),
+            0,
+            "reads match the sequential replay"
+        );
+        let g = rt.graph().expect("recording on");
+        let seq = reference::sequence(p);
+
+        // (a) and (c): every recorded edge has a witness — an earlier
+        // access of its source conflicting with a later access of its
+        // target with the edge's kind — and some witness is not
+        // shadowed by a containing write of another task in between.
+        let mut edges = BTreeSet::new();
+        for &(f, t, kind) in g.edges() {
+            let (f, t) = (f.0 as usize - 1, t.0 as usize - 1);
+            edges.insert((f, t));
+            let witnesses: Vec<(usize, usize)> = (0..seq.len())
+                .flat_map(|j| (0..j).map(move |i| (i, j)))
+                .filter(|&(i, j)| {
+                    let ((ti, ai), (tj, aj)) = (seq[i], seq[j]);
+                    ti == f
+                        && tj == t
+                        && reference::conflict(ai, aj)
+                        && reference::kind(ai.write, aj.write) == kind
+                })
+                .collect();
+            assert!(
+                !witnesses.is_empty(),
+                "(a) edge {} -> {} ({:?}) joins no conflicting access pair",
+                f + 1,
+                t + 1,
+                kind
+            );
+            assert!(
+                witnesses
+                    .iter()
+                    .any(|&(i, j)| !reference::shadowed(&seq, i, j)),
+                "(c) edge {} -> {} ({:?}) comes only from shadowed accesses",
+                f + 1,
+                t + 1,
+                kind
+            );
+        }
+
+        // (b) every conflicting pair is ordered by a path.
+        let desc = reference::descendants(p.len(), &edges);
+        for (a, b) in reference::conflict_pairs(p) {
+            assert!(
+                desc[a].contains(&b),
+                "(b) task {} conflicts with later task {} but does not reach it",
+                a + 1,
+                b + 1
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The recorded region graph against the reference: edges only
+        /// between conflicting accesses with the right kind, never from a
+        /// shadowed access, and every conflict ordered by a path.
+        #[test]
+        fn region_graph_matches_the_access_oracle(p in program()) {
+            check(&p);
+        }
+    }
+}
+
+/// Pruning mode (`record_graph(false)`) on several workers: reads see the
+/// sequential program's values, and a panicking writer cancels exactly
+/// its descendants under the reference's full conflict relation.
+mod prune_mode {
+    use super::quiet_worker_panics;
+    use super::random_programs::{program, spawn};
+    use super::reference::{self, Program};
+    use proptest::prelude::*;
+    use smpss::{Runtime, TaskId};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    fn run(p: &Program, threads: usize, fail: Option<usize>) {
+        let rt = Runtime::builder().threads(threads).build();
+        let bufs = [
+            rt.region_data(vec![0u32; reference::LEN]),
+            rt.region_data(vec![0u32; reference::LEN]),
+        ];
+        let (seen, expect) = reference::replay(p);
+        let mismatches = Arc::new(AtomicUsize::new(0));
+        // The failing task holds until every task is spawned, so each of
+        // its descendants links while it is still pending.
+        let gate = Arc::new(AtomicBool::new(false));
+        spawn(&rt, &bufs, p, &seen, &mismatches, fail.map(|f| (f, &gate)));
+        gate.store(true, Ordering::Release);
+        let result = rt.wait_all();
+        let ctx = format!("threads={} fail={:?}", threads, fail.map(|f| f + 1));
+        assert_eq!(mismatches.load(Ordering::Relaxed), 0, "reads ({})", ctx);
+        let lost: BTreeSet<usize> = match fail {
+            None => {
+                assert!(result.is_ok(), "{}", ctx);
+                BTreeSet::new()
+            }
+            Some(f) => {
+                let err = result.expect_err("one task panics");
+                let failed: Vec<TaskId> = err.failed.iter().map(|e| e.id).collect();
+                assert_eq!(failed, [TaskId(f as u64 + 1)], "{}", ctx);
+                let desc = reference::descendants(p.len(), &reference::conflict_pairs(p));
+                let cancelled: BTreeSet<usize> =
+                    err.cancelled.iter().map(|c| c.id.0 as usize - 1).collect();
+                assert_eq!(cancelled, desc[f], "cancelled = descendants ({})", ctx);
+                desc[f].iter().copied().chain([f]).collect()
+            }
+        };
+        // A replayed value is the stamp of the element's last writer:
+        // where that task ran, the buffer holds the same value.
+        for (b, buf) in bufs.iter().enumerate() {
+            rt.with_region(buf, |v| {
+                for (e, &want) in expect[b].iter().enumerate() {
+                    if want == 0 || !lost.contains(&(want as usize - 1)) {
+                        assert_eq!(v[e], want, "buffer {} element {} ({})", b, e, ctx);
+                    }
+                }
+            });
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn pruning_runs_match_the_sequential_replay(p in program(), pick in 0..64usize) {
+            quiet_worker_panics();
+            let writers: Vec<usize> =
+                (0..p.len()).filter(|&t| p[t].iter().any(|a| a.write)).collect();
+            for threads in [2, 4] {
+                run(&p, threads, None);
+                if !writers.is_empty() {
+                    run(&p, threads, Some(writers[pick % writers.len()]));
+                }
+            }
+        }
     }
 }
