@@ -40,9 +40,76 @@
 //! **Eager pruning:** when structural recording is off, finished entries
 //! are dropped the moment a query encounters them, and a periodic sweep
 //! clears tiles that queries never revisit, so the log tracks the live
-//! frontier instead of program history. With recording on, only
-//! shadowing frees entries: the recorder wants edges from finished
-//! producers too.
+//! frontier instead of program history. An entry whose task finished
+//! failed or cancelled is the exception: a later conflicting access
+//! still links to it and is cancelled, as a late whole-object reader of
+//! a failed writer is, until a containing write shadows it or a failure
+//! drain ([`Runtime::wait_all`](crate::Runtime::wait_all),
+//! `Session::wait`) has reported the failure. A query that meets such
+//! an entry asks the linker for the drain count; if a drain has happened
+//! since, the log drops every poisoned finished entry and the query runs
+//! again. With recording on, only shadowing frees entries: the recorder
+//! wants edges from finished producers too.
+//!
+//! **Read groups:** Figure 7's merge tasks each read both whole source
+//! halves, so with k chunk tasks per merge every reader took one edge per
+//! chunk writer, and every later chunk writer one edge per reader — k²
+//! edges per merge. The object path already stands for "all readers of
+//! this version" with one counter ([`ReadWindow`]); this is the region
+//! log's counterpart (cf. Pérez, Badia & Labarta, *Handling task
+//! dependencies under strided and aliased references*, ICS 2010). A
+//! read entry is **open** while no overlapping write has been logged
+//! after it. A second read of exactly an open entry's region (same
+//! session, another task) turns the entry into a **group** backed by two
+//! bodiless joins (`graph::node`):
+//!
+//! * the **in-join** waits for the writers the opening scan matched, and
+//!   every member waits for it;
+//! * the **out-join** waits for every member, and stands in for the
+//!   entry's task, so a write that overlaps the group takes one edge
+//!   from it.
+//!
+//! Every later identical read joins in O(1): in-join → reader and reader
+//! → out-join, no scan and no entry of its own. Joining without a scan
+//! is exact because nothing a read conflicts with can appear while the
+//! group is open: a later overlapping write seals it, and a write that
+//! shadows one of its writers overlaps it too. The first overlapping
+//! write **seals** the group and drops the out-join's **guard**, which
+//! it holds while open; an open group counts as finished (for pruning
+//! and [`RegionLog::all_finished`]) once the out-join holds only that
+//! guard. The rules the design keeps:
+//!
+//! * **Lazily, on the second identical read**, found through a 4-entry
+//!   cache of recently logged reads, each checked against its dim-0
+//!   bound and then the slot's region and generation: reads that never
+//!   repeat a region (stencil bands) pay four bound comparisons and no
+//!   allocation.
+//! * **Self-membership:** a member that then writes over the group is
+//!   ordered after the other members directly — the out-join waits for
+//!   the writer itself, so its edge would be a cycle — and its later
+//!   writes to the group take no edge. Its containing write shadows the
+//!   other members and keeps its own read, as for plain entries: the
+//!   group becomes that plain read, at the place in the insertion order
+//!   the member's read would have had.
+//! * **No other cycles:** a task the in-join waits for (one of the
+//!   writers the opening scan matched) does not join, and a read that
+//!   conflicts with a write of its own task does not open a group. Both
+//!   arise only when two tasks' declarations interleave. A repeated read
+//!   by the group's last member is logged as a plain entry.
+//! * **Sessions:** a group and its joins belong to the opener's session
+//!   and only reads of that session join it, so the walk's session check
+//!   gives every edge the direct path's semantics.
+//! * **Recorded graph:** groups form with recording on and off; the
+//!   recorder gets the task-to-task edges of the direct path (a joining
+//!   reader True edges from the group's writers, a write over a group
+//!   Anti edges from every member, in join order at the group's place
+//!   in the insertion order).
+//! * **Poison:** a join linked to a producer that finished poisoned, or
+//!   released by a poisoned walk, completes cancelled and poisons its
+//!   successors, so cancelled sets stay the recorded graph's
+//!   descendants.
+//!
+//! [`ReadWindow`]: crate::data::version
 //!
 //! **Sharded analysis:** a buffer's log belongs to the lane that owns
 //! the buffer's *representant* id (`runtime::shard::lane_of`). Under
@@ -60,11 +127,149 @@ use crate::graph::node::{TaskNode, HINT_NONE};
 use crate::graph::record::EdgeKind;
 use crate::ids::TaskId;
 
-/// One logged access.
+/// How a query's matches become edges. The spawner implements it over
+/// the task it is analysing; the unit tests over bare nodes.
+pub(crate) trait Linker {
+    /// `producer -> task`, recorded and scheduled: the direct path.
+    fn edge(&self, producer: &Arc<TaskNode>, kind: EdgeKind);
+    /// `producer -> task` in the recorded graph only: a join carries the
+    /// scheduler link.
+    fn record(&self, producer: TaskId, kind: EdgeKind);
+    /// `producer -> join`, scheduled only.
+    fn feed_join(&self, producer: &Arc<TaskNode>, join: &Arc<TaskNode>, kind: EdgeKind);
+    /// `join -> task`, scheduled only.
+    fn await_join(&self, join: &Arc<TaskNode>, kind: EdgeKind);
+    /// Failure drains that reported something so far
+    /// ([`Runtime::wait_all`](crate::Runtime::wait_all) and
+    /// `Session::wait`): pruning keeps poisoned entries until the next.
+    fn drains(&self) -> u64;
+}
+
+/// What one recorded access did about read groups.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Grouping {
+    /// Logged an entry of its own (every write, and most reads).
+    None,
+    /// Turned an open identical read into a group.
+    Opened,
+    /// Joined an open group without a scan.
+    Joined,
+}
+
+/// One logged access. Scans walk these, so a group's state lives in
+/// `RegionLog::groups` instead: with it inline, a slot grows from 64 to
+/// 72 bytes and no longer fits one cache line.
 struct Access {
     region: Region,
-    write: bool,
+    /// The accessing task; the out-join once the entry is a group.
     node: Arc<TaskNode>,
+    write: bool,
+    /// A read that no overlapping write has followed yet.
+    open: bool,
+    /// A read group, whose state is `RegionLog::groups[slot]`.
+    grouped: bool,
+}
+
+/// A read group: see the module docs.
+struct Group {
+    in_join: Arc<TaskNode>,
+    /// In join order, each with the insertion sequence number its read
+    /// would have had as an entry of its own; kept for self-membership
+    /// and the recorded graph.
+    members: Vec<(u64, Arc<TaskNode>)>,
+    /// The writers the opening scan matched, in insertion order: what a
+    /// joiner records, and the tasks that may not join (the in-join
+    /// waits for them).
+    writers: Vec<TaskId>,
+    /// The newest of `writers`: a task spawned after it is none of them.
+    newest_writer: TaskId,
+    /// The opening scan's locality hint, the vote of every joiner.
+    hint: Option<usize>,
+    /// The member a write of its own has already ordered after every
+    /// other member.
+    ordered: Option<TaskId>,
+}
+
+impl Access {
+    /// An overlapping write follows this read: close it to new members.
+    /// A group drops its out-join's guard, so the out-join completes once
+    /// every member has.
+    fn seal(&mut self) {
+        if std::mem::take(&mut self.open) && self.grouped {
+            self.node.release_join_guard();
+        }
+    }
+
+    /// An open group's out-join still holds its guard.
+    fn open_group(&self) -> bool {
+        !self.write && self.grouped && self.open
+    }
+
+    /// Has every access behind this entry finished?
+    fn finished(&self) -> bool {
+        if self.open_group() {
+            self.node.holds_only_guard()
+        } else {
+            self.node.is_finished()
+        }
+    }
+
+    /// Did one of them fail or get cancelled? Meaningful once
+    /// [`finished`](Self::finished): pruning keeps such an entry until a
+    /// failure drain has reported it (module docs).
+    fn poisoned(&self) -> bool {
+        if self.open_group() {
+            self.node.cancel_requested()
+        } else {
+            self.node.finished_poisoned()
+        }
+    }
+}
+
+impl Group {
+    /// May `node` join? Not a task the in-join waits for (that is a
+    /// cycle), and not the last member again: a task's accesses are
+    /// declared back to back, so a repeated read of its own stays a
+    /// plain entry, as it would be without groups.
+    fn admits(&self, node: &Arc<TaskNode>) -> bool {
+        let me = node.id();
+        !self.members.last().is_some_and(|(_, m)| Arc::ptr_eq(m, node))
+            && (me > self.newest_writer || !self.writers.contains(&me))
+    }
+
+    /// Order a write of `node` after every member: through the out-join,
+    /// or straight from the other members when the writer is a member
+    /// itself (module docs). Returns whether it is.
+    fn order_writer<L: Linker>(
+        &mut self,
+        out_join: &Arc<TaskNode>,
+        node: &Arc<TaskNode>,
+        prune: bool,
+        linker: &L,
+    ) -> bool {
+        if self.members.iter().any(|(_, m)| Arc::ptr_eq(m, node)) {
+            let first = self.ordered != Some(node.id());
+            for (_, m) in self.members.iter().filter(|(_, m)| !Arc::ptr_eq(m, node)) {
+                if first {
+                    linker.edge(m, EdgeKind::Anti);
+                } else if !prune {
+                    // Already waits for them: recorded only, as the
+                    // direct path would record it again.
+                    linker.record(m.id(), EdgeKind::Anti);
+                }
+            }
+            self.ordered = Some(node.id());
+            true
+        } else {
+            linker.await_join(out_join, EdgeKind::Anti);
+            if !prune {
+                for (_, m) in &self.members {
+                    linker.record(m.id(), EdgeKind::Anti);
+                }
+            }
+            false
+        }
+    }
 }
 
 /// The dependency the pair `(earlier access, this access)` induces, if any.
@@ -83,6 +288,9 @@ const TILES: usize = 64;
 /// Entries spanning more than this many tiles go to the `wide` list
 /// (checked by every query) instead of being registered per tile.
 const WIDE_SPAN: usize = TILES / 4;
+
+/// Recently logged reads an identical read may join.
+const RECENT: usize = 4;
 
 /// A handle into the slot slab: `(index, generation)`. Stale handles
 /// (generation mismatch) are removed lazily when encountered.
@@ -124,6 +332,17 @@ pub(crate) struct RegionLog {
     /// maintained while `want_hint` (set per record call).
     hint_best: Option<(u64, usize)>,
     want_hint: bool,
+    /// Recently logged reads, round robin: the candidates an identical
+    /// read may join, with their dim-0 bound so that a read of another
+    /// region is turned away without touching the slot.
+    recent: [Option<(EntryRef, RegionBound)>; RECENT],
+    recent_next: usize,
+    /// The state of the read group at each grouped slot, by slot index.
+    groups: Vec<Option<Box<Group>>>,
+    /// The current query met a poisoned entry (pruning only).
+    poison_seen: bool,
+    /// Failure drains seen at the last heal.
+    drains: u64,
 }
 
 impl Default for RegionLog {
@@ -142,6 +361,11 @@ impl Default for RegionLog {
             matches: Vec::new(),
             hint_best: None,
             want_hint: false,
+            recent: [None; RECENT],
+            recent_next: 0,
+            groups: Vec::new(),
+            poison_seen: false,
+            drains: 0,
         }
     }
 }
@@ -194,11 +418,21 @@ impl RegionLog {
 
     fn free_slot(&mut self, idx: u32) {
         let slot = &mut self.slots[idx as usize];
-        debug_assert!(slot.access.is_some());
-        slot.access = None;
+        let a = slot.access.take().expect("freeing a live slot");
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(idx);
         self.live -= 1;
+        if a.grouped {
+            self.free_group(idx, a);
+        }
+    }
+
+    /// Drop the read group at `idx`, whose entry `a` was just freed: an
+    /// open group's out-join drops its guard.
+    #[cold]
+    fn free_group(&mut self, idx: u32, mut a: Access) {
+        a.seal();
+        self.groups[idx as usize] = None;
     }
 
     /// Re-tile over the **tight** range covering `l..=u` and every live
@@ -232,16 +466,17 @@ impl RegionLog {
         }
     }
 
-    /// Drop every finished entry and rebuild the tile lists (amortised:
+    /// Drop every prunable entry and rebuild the tile lists (amortised:
     /// triggered when enough records have happened that untouched tiles
-    /// may be full of finished entries).
-    fn sweep(&mut self) {
+    /// may be full of finished entries, and after a failure drain, which
+    /// `healed` the poisoned ones).
+    fn sweep(&mut self, healed: bool) {
         for idx in 0..self.slots.len() as u32 {
-            let finished = matches!(
+            let prunable = matches!(
                 &self.slots[idx as usize].access,
-                Some(a) if a.node.is_finished()
+                Some(a) if a.finished() && (healed || !a.poisoned())
             );
-            if finished {
+            if prunable {
                 self.free_slot(idx);
             }
         }
@@ -259,9 +494,10 @@ impl RegionLog {
 
     /// Visit one candidate list (the wide list or one tile), collecting
     /// overlap matches into `self.matches` and lazily removing
-    /// stale/finished handles. Read-after-read pairs are filtered here
+    /// stale/prunable handles. Read-after-read pairs are filtered here
     /// (they can never emit an edge), so read-heavy queries don't sort
-    /// and walk useless matches.
+    /// and walk useless matches. A write seals every read it overlaps,
+    /// its own task's included.
     #[allow(clippy::too_many_arguments)]
     fn scan_list(
         &mut self,
@@ -294,63 +530,209 @@ impl RegionLog {
                 i += 1;
                 continue;
             }
-            if prune && slot.access.as_ref().unwrap().node.is_finished() {
-                // About to be pruned: an overlapping finished writer is
-                // exactly a locality-hint source.
-                if self.want_hint {
-                    let seq = slot.seq;
-                    let a = slot.access.as_ref().unwrap();
-                    if a.write && a.node.id() != me && a.region.overlaps(region) {
-                        let w = a.node.ran_on();
+            let a = slot.access.as_ref().unwrap();
+            if prune && a.finished() {
+                if a.poisoned() {
+                    // Kept for late accessors (module docs); `record`
+                    // asks whether a drain has reported it since.
+                    self.poison_seen = true;
+                } else {
+                    // About to be pruned: an overlapping finished writer
+                    // is exactly a locality-hint source.
+                    if self.want_hint
+                        && a.write
+                        && a.node.id() != me
+                        && a.region.overlaps(region)
+                    {
+                        let (seq, w) = (slot.seq, a.node.ran_on());
                         if w != HINT_NONE && self.hint_best.is_none_or(|(s, _)| seq > s) {
                             self.hint_best = Some((seq, w));
                         }
                     }
+                    self.free_slot(r.idx);
+                    let list = if wide { &mut self.wide } else { &mut self.tiles[tile] };
+                    list.swap_remove(i);
+                    continue;
                 }
-                self.free_slot(r.idx);
-                let list = if wide { &mut self.wide } else { &mut self.tiles[tile] };
-                list.swap_remove(i);
-                continue;
             }
             slot.stamp = self.query_stamp;
-            let a = slot.access.as_ref().unwrap();
-            if a.node.id() != me
-                && edge_kind(a.write, write).is_some()
-                && a.region.overlaps(region)
-            {
+            if edge_kind(a.write, write).is_some() && a.region.overlaps(region) {
+                // This task's own entries too: `record` seals them.
                 self.matches.push((slot.seq, r.idx));
             }
             i += 1;
         }
     }
 
-    /// Analyse one access: emit an edge for every live logged access
-    /// of another task that overlaps `region` and conflicts with it (in
-    /// insertion order; `me` is the spawning task), free the entries a
-    /// write shadows, prune finished entries when `prune`, then append
-    /// the access.
+    /// The open entry an identical read of `node` may join: a group of
+    /// its session, or another task's plain read that a group can open
+    /// on. Only recently logged reads are candidates.
+    fn joinable(&self, region: &Region, node: &Arc<TaskNode>) -> Option<EntryRef> {
+        let bound = dim0(region);
+        let candidates = self.recent.iter().flatten().filter(|(_, b)| *b == bound);
+        candidates.map(|&(r, _)| r).find(|r| {
+            let slot = &self.slots[r.idx as usize];
+            slot.gen == r.gen
+                && slot.access.as_ref().is_some_and(|a| {
+                    a.open
+                        && a.region == *region
+                        && a.node.same_session(node)
+                        && if a.grouped {
+                            self.groups[r.idx as usize].as_ref().unwrap().admits(node)
+                        } else {
+                            !Arc::ptr_eq(&a.node, node)
+                        }
+                })
+        })
+    }
+
+    /// Did a query match an entry of task `me`'s own? A read
+    /// that conflicts with a write of its own task opens no group: the
+    /// in-join, which the task waits for, could not wait for that write.
+    fn matched_own(&self, me: TaskId) -> bool {
+        let own = |&(_, idx): &(u64, u32)| {
+            self.slots[idx as usize].access.as_ref().unwrap().node.id() == me
+        };
+        self.matches.iter().any(own)
+    }
+
+    fn is_live(&self, r: EntryRef) -> bool {
+        let slot = &self.slots[r.idx as usize];
+        slot.gen == r.gen && slot.access.is_some()
+    }
+
+    /// A read joins the open group at `idx`: in-join → reader and reader
+    /// → out-join, in O(1). Returns the group's locality hint. A join
+    /// fed by a failed writer whose failure a drain has since reported
+    /// is healed first, and the read starts over.
+    #[cold]
+    #[inline(never)]
+    fn join_group<L: Linker>(
+        &mut self,
+        idx: u32,
+        region: &Region,
+        node: &Arc<TaskNode>,
+        prune: bool,
+        hint: bool,
+        linker: &L,
+    ) -> (Option<usize>, Grouping) {
+        let g = self.groups[idx as usize].as_mut().unwrap();
+        if prune && g.in_join.finished_poisoned() && self.heal(linker) {
+            return self.record(region, false, node, prune, hint, linker);
+        }
+        let a = self.slots[idx as usize].access.as_ref().unwrap();
+        let g = self.groups[idx as usize].as_mut().unwrap();
+        linker.await_join(&g.in_join, EdgeKind::True);
+        if !prune {
+            // `admits` keeps this task out of `writers`.
+            for &w in &g.writers {
+                linker.record(w, EdgeKind::True);
+            }
+        }
+        linker.feed_join(node, &a.node, EdgeKind::Anti);
+        g.members.push((self.next_seq, Arc::clone(node)));
+        self.next_seq += 1;
+        (g.hint, Grouping::Joined)
+    }
+
+    /// Turn the plain open read at `idx` into a group: the writers the
+    /// current query matched (`self.matches`) feed a new in-join, and
+    /// the entry's task and `node` become the members.
+    #[cold]
+    #[inline(never)]
+    fn open_group<L: Linker>(
+        &mut self,
+        idx: u32,
+        node: &Arc<TaskNode>,
+        prune: bool,
+        hint: bool,
+        linker: &L,
+    ) -> (Option<usize>, Grouping) {
+        let mut g = Group {
+            in_join: TaskNode::new_join(node),
+            members: Vec::new(),
+            writers: Vec::new(),
+            newest_writer: TaskId(0),
+            hint: None,
+            ordered: None,
+        };
+        // A read matches only writes.
+        let matches = std::mem::take(&mut self.matches);
+        for &(seq, w) in &matches {
+            let a = &self.slots[w as usize].access.as_ref().unwrap().node;
+            linker.feed_join(a, &g.in_join, EdgeKind::True);
+            if !prune {
+                linker.record(a.id(), EdgeKind::True);
+            }
+            g.writers.push(a.id());
+            g.newest_writer = g.newest_writer.max(a.id());
+            if hint && a.is_finished() {
+                let w = a.ran_on();
+                if w != HINT_NONE && self.hint_best.is_none_or(|(s, _)| seq > s) {
+                    self.hint_best = Some((seq, w));
+                }
+            }
+        }
+        self.matches = matches;
+        g.hint = self.hint_best.map(|(_, w)| w);
+        g.in_join.release_join_guard();
+        linker.await_join(&g.in_join, EdgeKind::True);
+        let slot = &mut self.slots[idx as usize];
+        let a = slot.access.as_mut().unwrap();
+        let first = std::mem::replace(&mut a.node, TaskNode::new_join(node));
+        linker.feed_join(&first, &a.node, EdgeKind::Anti);
+        linker.feed_join(node, &a.node, EdgeKind::Anti);
+        a.grouped = true;
+        g.members = vec![(slot.seq, first), (self.next_seq, Arc::clone(node))];
+        self.next_seq += 1;
+        let hint_w = g.hint;
+        let idx = idx as usize;
+        if self.groups.len() <= idx {
+            self.groups.resize_with(idx + 1, || None);
+        }
+        self.groups[idx] = Some(Box::new(g));
+        (hint_w, Grouping::Opened)
+    }
+
+    /// Analyse one access of task `node`: link an edge for every live
+    /// logged access of another task that overlaps `region` and
+    /// conflicts with it (in insertion order), free the entries a write
+    /// shadows, prune prunable entries when `prune`, then append the
+    /// access — or open or join a read group instead (module docs).
+    /// `prune` also means "no structural recording": the recorded-only
+    /// edges of groups are skipped.
     ///
     /// When `hint` is set, the query also harvests a **locality hint**:
     /// the worker that ran the most recently logged overlapping
     /// *finished* writer it saw (`None` when there was none). The hint is
     /// advisory and never influences the emitted edges.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record(
+    pub(crate) fn record<L: Linker>(
         &mut self,
         region: &Region,
         write: bool,
-        me: TaskId,
         node: &Arc<TaskNode>,
         prune: bool,
         hint: bool,
-        emit: &mut dyn FnMut(&Arc<TaskNode>, EdgeKind),
-    ) -> Option<usize> {
+        linker: &L,
+    ) -> (Option<usize>, Grouping) {
+        let me = node.id();
+        let opener = if write {
+            None
+        } else {
+            match self.joinable(region, node) {
+                Some(r) if self.slots[r.idx as usize].access.as_ref().unwrap().grouped => {
+                    return self.join_group(r.idx, region, node, prune, hint, linker);
+                }
+                found => found,
+            }
+        };
         self.query_stamp += 1;
         self.since_sweep += 1;
         self.want_hint = hint;
         self.hint_best = None;
+        self.poison_seen = false;
         if prune && self.since_sweep > 2 * self.slots.len().max(64) {
-            self.sweep();
+            self.sweep(false);
         }
 
         // Gather candidates: the wide list plus the tiles the query's
@@ -380,12 +762,29 @@ impl RegionLog {
                 self.scan_list(false, t, region, write, me, prune);
             }
         }
+        if self.poison_seen && self.heal(linker) {
+            // Nothing is linked yet: query the healed log afresh.
+            return self.record(region, write, node, prune, hint, linker);
+        }
 
         // Emit in insertion (program) order.
         self.matches.sort_unstable_by_key(|&(seq, _)| seq);
+        // Pruning may just have dropped the entry a group was to open
+        // on, and a write of this task's own cannot feed an in-join.
+        if let Some(r) = opener.filter(|&r| self.is_live(r) && !self.matched_own(me)) {
+            return self.open_group(r.idx, node, prune, hint, linker);
+        }
         let matches = std::mem::take(&mut self.matches);
         for &(seq, idx) in &matches {
-            let a = self.slots[idx as usize].access.as_ref().unwrap();
+            let a = self.slots[idx as usize].access.as_mut().unwrap();
+            if write && !a.write {
+                // An overlapping write follows this read (module docs),
+                // before anything links to its group.
+                a.seal();
+            }
+            if a.node.id() == me {
+                continue; // a task never depends on itself
+            }
             // Structural-recording mode keeps finished entries in the
             // match set: harvest the hint here (prune mode harvested it
             // on the free path in `scan_list`).
@@ -395,14 +794,24 @@ impl RegionLog {
                     self.hint_best = Some((seq, w));
                 }
             }
-            if let Some(kind) = edge_kind(a.write, write) {
-                emit(&a.node, kind);
-            }
+            let member = if a.grouped {
+                let g = self.groups[idx as usize].as_mut().unwrap();
+                g.order_writer(&a.node, node, prune, linker)
+            } else {
+                if let Some(kind) = edge_kind(a.write, write) {
+                    linker.edge(&a.node, kind);
+                }
+                false
+            };
             // Write shadowing (module docs): every later access that
             // overlaps `a` conflicts with this write, whose new edge
             // from `a` keeps the ordering; `a` itself is dead weight.
             if write && region.contains(&a.region) {
-                self.free_slot(idx);
+                if member {
+                    self.keep_own_read(idx, node);
+                } else {
+                    self.free_slot(idx);
+                }
             }
         }
         self.matches = matches;
@@ -422,6 +831,8 @@ impl RegionLog {
                     region: region.clone(),
                     write,
                     node: Arc::clone(node),
+                    open: !write,
+                    grouped: false,
                 });
                 idx
             }
@@ -435,6 +846,8 @@ impl RegionLog {
                         region: region.clone(),
                         write,
                         node: Arc::clone(node),
+                        open: !write,
+                        grouped: false,
                     }),
                 });
                 idx
@@ -443,15 +856,53 @@ impl RegionLog {
         self.next_seq += 1;
         self.live += 1;
         self.register(idx);
-        self.hint_best.map(|(_, w)| w)
+        if !write {
+            let r = EntryRef {
+                idx,
+                gen: self.slots[idx as usize].gen,
+            };
+            self.recent[self.recent_next] = Some((r, dim0(region)));
+            self.recent_next = (self.recent_next + 1) % RECENT;
+        }
+        (self.hint_best.map(|(_, w)| w), Grouping::None)
     }
 
-    /// Have all logged accessors finished? (The `with_region` wait.)
+    /// A member's write contains its group's region. Own entries are
+    /// never shadowed: of a group, the writer's own read stays and the
+    /// other members go, so the sealed group becomes that plain read, at
+    /// its place in the insertion order.
+    #[cold]
+    fn keep_own_read(&mut self, idx: u32, node: &Arc<TaskNode>) {
+        let g = self.groups[idx as usize].take().unwrap();
+        let own = g.members.iter().find(|(_, m)| Arc::ptr_eq(m, node));
+        let slot = &mut self.slots[idx as usize];
+        slot.seq = own.unwrap().0;
+        let a = slot.access.as_mut().unwrap();
+        a.node = Arc::clone(node);
+        a.grouped = false;
+    }
+
+    /// If a failure drain has happened since the last heal, every failure
+    /// behind a poisoned entry has been reported: drop the entries that
+    /// kept it (module docs). Returns whether it did.
+    #[cold]
+    fn heal<L: Linker>(&mut self, linker: &L) -> bool {
+        let drains = linker.drains();
+        if drains == self.drains {
+            return false;
+        }
+        self.drains = drains;
+        self.sweep(true);
+        true
+    }
+
+    /// Have all logged accessors finished? (The `with_region` wait.) An
+    /// open group counts once its out-join holds only its guard.
     pub(crate) fn all_finished(&self) -> bool {
         self.slots
             .iter()
             .filter_map(|s| s.access.as_ref())
-            .all(|a| a.node.is_finished())
+            .all(Access::finished)
     }
 
     /// Live entries currently held (test observability).
@@ -459,12 +910,47 @@ impl RegionLog {
     pub(crate) fn live_len(&self) -> usize {
         self.live
     }
+
+    /// Accesses the live entries stand for: a group counts its members.
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        let held = |(i, s): (usize, &Slot)| match &s.access {
+            None => 0,
+            Some(a) if a.grouped => self.groups[i].as_ref().unwrap().members.len(),
+            Some(_) => 1,
+        };
+        self.slots.iter().enumerate().map(held).sum()
+    }
+
+    /// Has `node` already been ordered after the other members of a live
+    /// read group that `region` overlaps (a repeat write of a member)?
+    #[cfg(test)]
+    fn orders_member(&self, region: &Region, node: &Arc<TaskNode>) -> bool {
+        self.slots.iter().enumerate().any(|(i, s)| {
+            s.access.as_ref().is_some_and(|a| {
+                a.grouped
+                    && a.region.overlaps(region)
+                    && self.groups[i].as_ref().unwrap().ordered == Some(node.id())
+            })
+        })
+    }
+
+    /// Does `region` overlap a live read group?
+    #[cfg(test)]
+    fn overlaps_group(&self, region: &Region) -> bool {
+        self.slots
+            .iter()
+            .filter_map(|s| s.access.as_ref())
+            .any(|a| a.grouped && a.region.overlaps(region))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::Priority;
+    use std::cell::{Cell, RefCell};
+    use std::collections::HashMap;
 
     fn node(id: u64) -> Arc<TaskNode> {
         TaskNode::new(TaskId(id), "t", Priority::Normal)
@@ -478,8 +964,122 @@ mod tests {
 
     type Emitted = Vec<(u64, EdgeKind)>;
 
-    /// Record one access of task `n`, returning the emitted
-    /// `(producer id, kind)` sequence.
+    /// `succ` waits for `pred`, the runtime's link protocol minus the
+    /// link pool: an already finished producer adds nothing, and one that
+    /// finished poisoned cancels the successor.
+    fn wait_for(pred: &Arc<TaskNode>, succ: &Arc<TaskNode>) {
+        succ.retain_dep();
+        if !pred.add_successor(succ) {
+            assert!(!succ.release_dep(), "guard must still be held");
+            if pred.finished_poisoned() {
+                succ.request_cancel();
+            }
+        }
+    }
+
+    /// Each join's producers by address, holding the join so that its
+    /// address, the key, is not reused.
+    type JoinFeeds = HashMap<usize, (Arc<TaskNode>, Vec<Arc<TaskNode>>)>;
+
+    thread_local! {
+        /// What each join was linked to wait for, so a link from a join
+        /// can be expanded to the tasks it stands for.
+        static JOINS: RefCell<JoinFeeds> = RefCell::new(HashMap::new());
+        /// What [`Linker::drains`] reports.
+        static DRAINS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// A linker over bare nodes that links for real (completing nodes
+    /// drives the joins) and logs two views of each access: `recorded`,
+    /// the structural recorder's task-to-task edges, and `effective`,
+    /// the tasks the access's task waits for with each join expanded to
+    /// its producers.
+    struct TestLinker {
+        task: Arc<TaskNode>,
+        recorded: RefCell<Emitted>,
+        effective: RefCell<Vec<(Arc<TaskNode>, EdgeKind)>>,
+        /// Join links made (in either direction).
+        join_links: Cell<usize>,
+    }
+
+    impl TestLinker {
+        fn new(task: &Arc<TaskNode>) -> Self {
+            TestLinker {
+                task: Arc::clone(task),
+                recorded: RefCell::new(Vec::new()),
+                effective: RefCell::new(Vec::new()),
+                join_links: Cell::new(0),
+            }
+        }
+
+        fn effective_ids(&self) -> Emitted {
+            self.effective
+                .borrow()
+                .iter()
+                .map(|(p, k)| (p.id().0, *k))
+                .collect()
+        }
+    }
+
+    impl Linker for TestLinker {
+        fn edge(&self, producer: &Arc<TaskNode>, kind: EdgeKind) {
+            self.recorded.borrow_mut().push((producer.id().0, kind));
+            self.effective
+                .borrow_mut()
+                .push((Arc::clone(producer), kind));
+            wait_for(producer, &self.task);
+        }
+
+        fn record(&self, producer: TaskId, kind: EdgeKind) {
+            self.recorded.borrow_mut().push((producer.0, kind));
+        }
+
+        fn feed_join(&self, producer: &Arc<TaskNode>, join: &Arc<TaskNode>, _: EdgeKind) {
+            assert!(join.is_join() && !producer.is_join());
+            self.join_links.set(self.join_links.get() + 1);
+            JOINS.with(|j| {
+                j.borrow_mut()
+                    .entry(Arc::as_ptr(join) as usize)
+                    .or_insert_with(|| (Arc::clone(join), Vec::new()))
+                    .1
+                    .push(Arc::clone(producer))
+            });
+            wait_for(producer, join);
+        }
+
+        fn await_join(&self, join: &Arc<TaskNode>, kind: EdgeKind) {
+            assert!(join.is_join());
+            self.join_links.set(self.join_links.get() + 1);
+            JOINS.with(|j| {
+                if let Some((_, producers)) = j.borrow().get(&(Arc::as_ptr(join) as usize)) {
+                    let mut eff = self.effective.borrow_mut();
+                    eff.extend(producers.iter().map(|p| (Arc::clone(p), kind)));
+                }
+            });
+            wait_for(join, &self.task);
+        }
+
+        fn drains(&self) -> u64 {
+            DRAINS.with(Cell::get)
+        }
+    }
+
+    /// Record one access of task `n`, returning the linker and what the
+    /// access did about groups.
+    fn access(
+        log: &mut RegionLog,
+        region: &Region,
+        write: bool,
+        n: &Arc<TaskNode>,
+        prune: bool,
+    ) -> (TestLinker, Grouping) {
+        let linker = TestLinker::new(n);
+        let (_, grouping) = log.record(region, write, n, prune, true, &linker);
+        (linker, grouping)
+    }
+
+    /// Record one access of task `n`, returning the tasks it waits for
+    /// (`(producer id, kind)`, joins expanded).
     fn record(
         log: &mut RegionLog,
         region: &Region,
@@ -487,11 +1087,7 @@ mod tests {
         n: &Arc<TaskNode>,
         prune: bool,
     ) -> Emitted {
-        let mut out = Vec::new();
-        log.record(region, write, n.id(), n, prune, true, &mut |p, k| {
-            out.push((p.id().0, k))
-        });
-        out
+        access(log, region, write, n, prune).0.effective_ids()
     }
 
     /// Same-region accesses per block: shadowing leaves exactly the last
@@ -617,12 +1213,14 @@ mod tests {
                 _ => Region::d1(0..=39),
             };
             let write = i % 5 != 2;
-            let mut want = Vec::new();
-            recording.record(&region, write, n.id(), n, false, false, &mut |p, k| {
-                if !p.is_finished() {
-                    want.push((p.id().0, k));
-                }
-            });
+            let (rec, _) = access(&mut recording, &region, write, n, false);
+            let want: Emitted = rec
+                .effective
+                .borrow()
+                .iter()
+                .filter(|(p, _)| !p.is_finished())
+                .map(|(p, k)| (p.id().0, *k))
+                .collect();
             let got = record(&mut pruning, &region, write, n, true);
             assert_eq!(got, want, "access {}", i);
             assert!(pruning.live_len() <= recording.live_len());
@@ -650,6 +1248,268 @@ mod tests {
         assert!(log.all_finished());
     }
 
+    fn region_x() -> Region {
+        Region::d1(0..=63)
+    }
+
+    /// The out-join of the log's only group.
+    fn out_join(log: &RegionLog) -> Arc<TaskNode> {
+        let a = log.slots.iter().filter_map(|s| s.access.as_ref());
+        let mut g = a.filter(|a| a.grouped).map(|a| Arc::clone(&a.node));
+        g.next_back().expect("a group")
+    }
+
+    /// The second identical read opens a group on the first one's entry;
+    /// the third joins it without a scan and without an entry of its
+    /// own. Every reader waits for the writer, the later two through the
+    /// in-join, and the recorder gets the direct path's edges.
+    #[test]
+    fn second_identical_read_opens_a_group_and_the_third_joins_it() {
+        use EdgeKind::True;
+        for prune in [false, true] {
+            let mut log = RegionLog::default();
+            let n: Vec<_> = (0..=4).map(node).collect();
+            record(&mut log, &region_x(), true, &n[1], prune);
+            let (l, g) = access(&mut log, &region_x(), false, &n[2], prune);
+            assert_eq!((g, l.effective_ids()), (Grouping::None, vec![(1, True)]));
+            let (l, g) = access(&mut log, &region_x(), false, &n[3], prune);
+            assert_eq!((g, l.effective_ids()), (Grouping::Opened, vec![(1, True)]));
+            let want: Emitted = if prune { vec![] } else { vec![(1, True)] };
+            assert_eq!(*l.recorded.borrow(), want);
+            assert_eq!(log.live_len(), 2, "the group keeps the first read's entry");
+            let stamp = log.query_stamp;
+            let (l, g) = access(&mut log, &region_x(), false, &n[4], prune);
+            assert_eq!((g, l.effective_ids()), (Grouping::Joined, vec![(1, True)]));
+            assert_eq!(*l.recorded.borrow(), want);
+            assert_eq!(l.join_links.get(), 2, "in-join -> reader -> out-join");
+            assert_eq!(log.query_stamp, stamp, "a joining read does not scan");
+            assert_eq!((log.live_len(), log.held()), (2, 4), "nor log an entry");
+        }
+    }
+
+    /// Only exactly the region of a recent open read of another task
+    /// opens a group.
+    #[test]
+    fn groups_open_only_on_a_recent_identical_read_of_another_task() {
+        let mut log = RegionLog::default();
+        let n: Vec<_> = (0..=9).map(node).collect();
+        let read =
+            |log: &mut RegionLog, r: &Region, t: &Arc<TaskNode>| access(log, r, false, t, true).1;
+        assert_eq!(read(&mut log, &region_x(), &n[1]), Grouping::None);
+        assert_eq!(
+            read(&mut log, &region_x(), &n[1]),
+            Grouping::None,
+            "same task"
+        );
+        assert_eq!(
+            read(&mut log, &Region::d1(0..=31), &n[2]),
+            Grouping::None,
+            "sub-region"
+        );
+        let same_elements = Region::d2(0..=63, RegionBound::Full);
+        assert_eq!(
+            read(&mut log, &same_elements, &n[2]),
+            Grouping::None,
+            "other spelling"
+        );
+        assert_eq!(read(&mut log, &region_x(), &n[3]), Grouping::Opened);
+        // Four other reads push the group out of the recent-reads cache.
+        for (i, t) in n[4..8].iter().enumerate() {
+            assert_eq!(read(&mut log, &Region::d1(i..=i), t), Grouping::None);
+        }
+        assert_eq!(read(&mut log, &region_x(), &n[8]), Grouping::None);
+        assert_eq!(read(&mut log, &region_x(), &n[9]), Grouping::Opened);
+    }
+
+    /// The first overlapping write seals the group: it takes one link,
+    /// from the out-join, which stands for every member. An identical
+    /// read after it starts afresh, and the out-join completes with its
+    /// last member.
+    #[test]
+    fn an_overlapping_write_seals_the_group() {
+        use EdgeKind::{Anti, True};
+        let mut log = RegionLog::default();
+        let n: Vec<_> = (0..=5).map(node).collect();
+        for r in &n[1..=3] {
+            record(&mut log, &region_x(), false, r, false);
+        }
+        let out = out_join(&log);
+        let (l, _) = access(&mut log, &Region::d1(10..=20), true, &n[4], false);
+        let members: Emitted = vec![(1, Anti), (2, Anti), (3, Anti)];
+        assert_eq!(l.effective_ids(), members);
+        assert_eq!(*l.recorded.borrow(), members);
+        assert_eq!(l.join_links.get(), 1, "one link, from the out-join");
+        let (l, g) = access(&mut log, &region_x(), false, &n[5], false);
+        assert_eq!((g, l.effective_ids()), (Grouping::None, vec![(4, True)]));
+        for m in &n[1..=3] {
+            assert!(!out.is_finished());
+            finish(m);
+        }
+        assert!(out.is_finished(), "sealed: no guard left");
+    }
+
+    /// An open group's out-join holds a guard, so it cannot complete
+    /// while members may still join; `all_finished` counts the group
+    /// finished once only the guard is left, and pruning frees it then.
+    #[test]
+    fn an_open_group_holds_its_guard() {
+        let mut log = RegionLog::default();
+        let n: Vec<_> = (0..=4).map(node).collect();
+        record(&mut log, &region_x(), false, &n[1], true);
+        record(&mut log, &region_x(), false, &n[2], true);
+        let out = out_join(&log);
+        finish(&n[1]);
+        assert!(!log.all_finished());
+        finish(&n[2]);
+        assert!(log.all_finished(), "only the guard is left");
+        assert!(!out.is_finished(), "the guard keeps the out-join open");
+        let (_, g) = access(&mut log, &region_x(), false, &n[3], true);
+        assert_eq!(g, Grouping::Joined);
+        assert!(!log.all_finished());
+        finish(&n[3]);
+        assert!(log.all_finished());
+        let (l, _) = access(&mut log, &Region::d1(0..=0), true, &n[4], true);
+        assert!(l.effective_ids().is_empty(), "every member had finished");
+        assert!(out.is_finished(), "freeing the group dropped the guard");
+        assert_eq!(log.live_len(), 1);
+    }
+
+    /// A member that then writes over its group is ordered after the
+    /// other members directly — the out-join waits for the writer, so
+    /// an edge from it would be a cycle. Its later writes take no edge
+    /// from the group (the recorder still gets the direct path's), other
+    /// writers still take the out-join's, and a containing write of the
+    /// member turns the group into the member's own plain read.
+    #[test]
+    fn a_member_writing_over_its_group_is_ordered_after_the_others() {
+        use EdgeKind::{Anti, Output};
+        for prune in [false, true] {
+            let mut log = RegionLog::default();
+            let n: Vec<_> = (0..=5).map(node).collect();
+            for r in &n[1..=3] {
+                record(&mut log, &region_x(), false, r, prune);
+            }
+            let out = out_join(&log);
+            let (l, _) = access(&mut log, &Region::d1(8..=15), true, &n[2], prune);
+            assert_eq!(l.effective_ids(), [(1, Anti), (3, Anti)]);
+            assert_eq!(l.join_links.get(), 0, "no link from the out-join");
+            let (l, _) = access(&mut log, &Region::d1(16..=23), true, &n[2], prune);
+            assert!(l.effective_ids().is_empty(), "already ordered");
+            let want: Emitted = if prune { vec![] } else { vec![(1, Anti), (3, Anti)] };
+            assert_eq!(*l.recorded.borrow(), want);
+            let (l, _) = access(&mut log, &Region::d1(0..=3), true, &n[4], prune);
+            assert_eq!(l.effective_ids(), [(1, Anti), (2, Anti), (3, Anti)]);
+            let (l, _) = access(&mut log, &region_x(), true, &n[3], prune);
+            assert_eq!(l.join_links.get(), 0);
+            assert_eq!(log.held(), 2, "n3's own read and its write shadow the rest");
+            assert!(!log.overlaps_group(&region_x()), "the group is n3's read");
+            let (l, _) = access(&mut log, &region_x(), true, &n[5], prune);
+            assert_eq!(l.effective_ids(), [(3, Anti), (3, Output)]);
+            // No cycle: once the other members finish, n2 waits on
+            // nothing but its spawn guard, and the out-join completes
+            // with the last member.
+            finish(&n[1]);
+            assert!(!n[2].holds_only_guard());
+            finish(&n[3]);
+            assert!(n[2].holds_only_guard(), "n2 does not wait for the out-join");
+            finish(&n[2]);
+            assert!(out.is_finished());
+        }
+    }
+
+    /// Pruning keeps an entry whose task finished poisoned until a
+    /// containing write shadows it: a late conflicting access still
+    /// links to it and is cancelled, and so is a group whose in-join the
+    /// failed writer feeds, with every reader that joins it.
+    #[test]
+    fn pruning_keeps_poisoned_entries_until_shadowed() {
+        use EdgeKind::True;
+        let mut log = RegionLog::default();
+        let n: Vec<_> = (0..=5).map(node).collect();
+        record(&mut log, &region_x(), true, &n[1], true);
+        n[1].stamp_failed();
+        finish(&n[1]);
+        let part = Region::d1(4..=5);
+        let (l, _) = access(&mut log, &part, false, &n[2], true);
+        assert_eq!(l.effective_ids(), [(1, True)]);
+        assert!(n[2].cancel_requested());
+        let (_, g) = access(&mut log, &part, false, &n[3], true);
+        assert_eq!(g, Grouping::Opened);
+        assert!(n[3].cancel_requested(), "through the cancelled in-join");
+        let (_, g) = access(&mut log, &part, false, &n[4], true);
+        assert_eq!(g, Grouping::Joined);
+        assert!(n[4].cancel_requested());
+        let (l, _) = access(&mut log, &region_x(), true, &n[5], true);
+        assert!(l.effective_ids().contains(&(1, EdgeKind::Output)));
+        assert_eq!(log.live_len(), 1, "the containing write shadowed both");
+    }
+
+    /// A failure drain heals the log: the next pruning query frees the
+    /// poisoned entries it kept, so a write over the buffer and the
+    /// reads after it run, and repeated late reads leave the log at the
+    /// live frontier.
+    #[test]
+    fn a_failure_drain_frees_poisoned_entries() {
+        let mut log = RegionLog::default();
+        let bad = node(1);
+        record(&mut log, &region_x(), true, &bad, true);
+        bad.stamp_failed();
+        finish(&bad);
+        let mut next = 2;
+        let mut late_read = |log: &mut RegionLog| {
+            let n = node(next);
+            next += 1;
+            record(log, &Region::d1(4..=5), false, &n, true);
+            // Run it as the runtime would: cancelled, a poisoned walk.
+            let cancelled = n.cancel_requested();
+            if cancelled {
+                n.stamp_cancelled();
+            }
+            let _ = n.complete(cancelled, |_| {});
+            n
+        };
+        for _ in 0..3 {
+            assert!(late_read(&mut log).finished_poisoned());
+        }
+        assert_eq!(
+            log.live_len(),
+            2,
+            "the failed writer, and its cancelled readers' group"
+        );
+        DRAINS.with(|d| d.set(d.get() + 1));
+        let w = node(100);
+        let (l, _) = access(&mut log, &region_x(), true, &w, true);
+        assert!(l.effective_ids().is_empty() && !w.cancel_requested());
+        assert_eq!(log.live_len(), 1, "only the new write");
+        finish(&w);
+        for _ in 0..200 {
+            assert!(!late_read(&mut log).finished_poisoned());
+            assert!(log.live_len() <= 2);
+        }
+        DRAINS.with(|d| d.set(0));
+    }
+
+    /// Joins never close a cycle: a read whose task already wrote into
+    /// the group's region neither opens a group (its own write could not
+    /// feed the in-join) nor joins one whose in-join waits for it. Both
+    /// arise only when two tasks' accesses interleave.
+    #[test]
+    fn a_task_the_in_join_waits_for_does_not_group() {
+        use EdgeKind::True;
+        let mut log = RegionLog::default();
+        let n: Vec<_> = (0..=4).map(node).collect();
+        record(&mut log, &Region::d1(0..=7), true, &n[1], true);
+        record(&mut log, &region_x(), false, &n[2], true);
+        let (l, g) = access(&mut log, &region_x(), false, &n[1], true);
+        assert_eq!((g, l.effective_ids()), (Grouping::None, vec![]));
+        let (l, g) = access(&mut log, &region_x(), false, &n[3], true);
+        assert_eq!((g, l.effective_ids()), (Grouping::Opened, vec![(1, True)]));
+        let (_, g) = access(&mut log, &region_x(), false, &n[1], true);
+        assert_eq!(g, Grouping::None, "the in-join waits for n1");
+        let (l, g) = access(&mut log, &region_x(), false, &n[4], true);
+        assert_eq!((g, l.effective_ids()), (Grouping::Joined, vec![(1, True)]));
+    }
+
     #[test]
     fn range_growth_rebuilds_and_keeps_entries_queryable() {
         let mut log = RegionLog::default();
@@ -667,16 +1527,34 @@ mod tests {
         assert_eq!(hit, vec![(1, EdgeKind::True)]);
     }
 
-    /// For random access sequences — random 1-D/2-D/full regions,
-    /// random directions, tasks with one or more accesses, random
-    /// completion interleavings, pruning on and off — the tile-indexed
-    /// log emits **exactly** the edge sequence (producer id + kind, in
-    /// order) of a brute-force scan over every logged access with the
-    /// same shadowing rule. The runtime-level oracle over recorded
-    /// graphs lives in `tests/regions.rs`.
+    /// For random access sequences — random 1-D/2-D/full regions, repeated
+    /// regions, random directions, tasks with one or more accesses,
+    /// random completion interleavings, pruning on and off — the
+    /// tile-indexed log with read groups orders every access exactly as a
+    /// brute-force scan over every logged access with the same shadowing
+    /// rule does. Compared are the recorded edges with recording on, and
+    /// with pruning the tasks each access waits for, joins expanded to
+    /// the tasks behind them and finished producers dropped:
+    ///
+    /// * every read, and every write that touches no read group, emits
+    ///   **exactly** the brute-force edge sequence (producer id + kind, in
+    ///   order), grouped reads included;
+    /// * a write over a group links through the out-join, or, from a
+    ///   member, straight from the other members, both at the group's
+    ///   place in the insertion order: its edges must equal the brute
+    ///   force's as a multiset. The one exception is a member's repeat
+    ///   write under pruning, which takes no new link: its edges must be a
+    ///   sub-multiset, and what it leaves out the task already waits for;
+    /// * with recording on, the accesses the live entries stand for
+    ///   (a group counts its members) equal the brute force's live count
+    ///   after every access.
+    ///
+    /// The runtime-level oracle over recorded graphs lives in
+    /// `tests/regions.rs`.
     mod equivalence {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
 
         /// One scripted access: region shape, direction, how many of the
         /// oldest unfinished tasks complete first, and whether it joins
@@ -685,7 +1563,7 @@ mod tests {
 
         fn op() -> impl Strategy<Value = Op> {
             (
-                0..6usize,
+                0..7usize,
                 0..90usize,
                 1..24usize,
                 0..2usize,
@@ -694,7 +1572,9 @@ mod tests {
             )
         }
 
-        fn region_of(kind: usize, a: usize, len: usize) -> Region {
+        /// Shape 6 repeats the previous access's region: the reads that
+        /// open and join groups.
+        fn region_of(kind: usize, a: usize, len: usize, prev: Option<&Region>) -> Region {
             match kind {
                 0 => Region::d1(a..=a + len - 1),
                 1 => Region::all(),
@@ -702,8 +1582,31 @@ mod tests {
                 3 => Region::d2(RegionBound::Full, RegionBound::Bounds(a, a + len)),
                 // Far coordinates: exercises range growth/rebuild.
                 4 => Region::d1(a * 100..=a * 100 + len),
+                6 if prev.is_some() => prev.unwrap().clone(),
                 _ => Region::d1(a..=a + 2 * len),
             }
+        }
+
+        /// The group-heavy mix: most accesses name one of three regions
+        /// (whole buffer, a 2-D block, a 1-D range), so identical reads
+        /// of different tasks open and join groups, and writes over them
+        /// — of members and of other tasks, of part of a region or of all
+        /// of it — seal, order and shadow them.
+        fn pooled(op: Op) -> (Region, bool) {
+            let (kind, a, len, write, _, join) = op;
+            let pool = [
+                Region::all(),
+                Region::d2(0..=31, 0..=15),
+                Region::d1(16..=47),
+            ];
+            let region = match kind {
+                0..=4 => pool[a % 5 / 2].clone(),
+                5 => Region::d1(a % 40..=a % 40 + len),
+                _ => Region::d2(a % 32..=a % 32 + len / 4, 0..=7),
+            };
+            // A task's later accesses (`join == 0`) write more often:
+            // members writing over their own group.
+            (region, write == 1 && (join == 0 || len % 3 == 0))
         }
 
         /// The reference: every logged access in insertion order, scanned
@@ -739,9 +1642,95 @@ mod tests {
                     region: region.clone(),
                     write,
                     node: Arc::clone(n),
+                    open: false,
+                    grouped: false,
                 });
                 out
             }
+        }
+
+        /// `edges` sorted: the multiset view.
+        fn sorted(edges: &Emitted) -> Vec<(u64, u8)> {
+            let mut v: Vec<_> = edges.iter().map(|&(p, k)| (p, k as u8)).collect();
+            v.sort_unstable();
+            v
+        }
+
+        /// Run `ops` through the log and the brute force, checking what
+        /// the module docs of this test promise.
+        fn check(ops: &[Op], prune: bool, pool: bool) {
+            let mut brute = BruteLog::default();
+            let mut log = RegionLog::default();
+            let mut tasks: Vec<Arc<TaskNode>> = Vec::new();
+            let mut next_unfinished = 0usize;
+            let mut prev: Option<Region> = None;
+            // Every producer each task has been linked to wait for.
+            let mut waits: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+            for (i, &op) in ops.iter().enumerate() {
+                let (kind, a, len, write, fin, join) = op;
+                // Complete `fin` of the oldest unfinished tasks.
+                for _ in 0..fin {
+                    if next_unfinished < tasks.len() {
+                        finish(&tasks[next_unfinished]);
+                        next_unfinished += 1;
+                    }
+                }
+                if join != 0 || next_unfinished == tasks.len() {
+                    tasks.push(node(i as u64 + 1));
+                }
+                let n = Arc::clone(tasks.last().unwrap());
+                let (region, write) = if pool {
+                    pooled(op)
+                } else {
+                    (region_of(kind, a, len, prev.as_ref()), write == 1)
+                };
+                let touches_group = write && log.overlaps_group(&region);
+                let repeat = write && log.orders_member(&region, &n);
+                let want = brute.record(&region, write, &n, prune);
+                let (l, _) = access(&mut log, &region, write, &n, prune);
+                let got: Emitted = if prune {
+                    l.effective
+                        .borrow()
+                        .iter()
+                        .filter(|(p, _)| !p.is_finished())
+                        .map(|(p, k)| (p.id().0, *k))
+                        .collect()
+                } else {
+                    l.recorded.borrow().clone()
+                };
+                if !touches_group {
+                    assert_eq!(&got, &want, "access {} diverged (prune={})", i, prune);
+                } else if !(prune && repeat) {
+                    assert_eq!(
+                        sorted(&got),
+                        sorted(&want),
+                        "write {} over a group (prune={})",
+                        i,
+                        prune
+                    );
+                } else {
+                    let mut left = sorted(&want);
+                    for e in sorted(&got) {
+                        let at = left.iter().position(|&w| w == e);
+                        assert!(at.is_some(), "repeat write {} linked {:?}", i, e);
+                        left.remove(at.unwrap());
+                    }
+                    let waited = waits.entry(n.id().0).or_default();
+                    for (p, _) in left {
+                        assert!(waited.contains(&p), "repeat write {} lost {}", i, p);
+                    }
+                }
+                let linked = l.effective_ids().into_iter().map(|(p, _)| p);
+                waits.entry(n.id().0).or_default().extend(linked);
+                if !prune {
+                    assert_eq!(log.held(), brute.entries.len(), "access {}", i);
+                }
+                prev = Some(region);
+            }
+            assert_eq!(
+                log.all_finished(),
+                brute.entries.iter().all(|e| e.node.is_finished())
+            );
         }
 
         proptest! {
@@ -752,35 +1741,15 @@ mod tests {
                 ops in proptest::collection::vec(op(), 1..80),
                 prune in 0..2usize,
             ) {
-                let prune = prune == 1;
-                let mut brute = BruteLog::default();
-                let mut log = RegionLog::default();
-                let mut tasks: Vec<Arc<TaskNode>> = Vec::new();
-                let mut next_unfinished = 0usize;
-                for (i, &(kind, a, len, write, fin, join)) in ops.iter().enumerate() {
-                    // Complete `fin` of the oldest unfinished tasks.
-                    for _ in 0..fin {
-                        if next_unfinished < tasks.len() {
-                            finish(&tasks[next_unfinished]);
-                            next_unfinished += 1;
-                        }
-                    }
-                    if join != 0 || next_unfinished == tasks.len() {
-                        tasks.push(node(i as u64 + 1));
-                    }
-                    let n = Arc::clone(tasks.last().unwrap());
-                    let region = region_of(kind, a, len);
-                    let want = brute.record(&region, write == 1, &n, prune);
-                    let got = record(&mut log, &region, write == 1, &n, prune);
-                    prop_assert_eq!(got, want, "access {} diverged (prune={})", i, prune);
-                    if !prune {
-                        prop_assert_eq!(log.live_len(), brute.entries.len());
-                    }
-                }
-                prop_assert_eq!(
-                    log.all_finished(),
-                    brute.entries.iter().all(|e| e.node.is_finished())
-                );
+                check(&ops, prune == 1, false);
+            }
+
+            #[test]
+            fn grouped_accesses_emit_exactly_the_brute_force_edges(
+                ops in proptest::collection::vec(op(), 1..80),
+                prune in 0..2usize,
+            ) {
+                check(&ops, prune == 1, true);
             }
         }
     }

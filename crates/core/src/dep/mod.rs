@@ -29,6 +29,22 @@
 //! the previous producer; everything stays in place. Same results, more
 //! edges, less parallelism — measured by `ablation_renaming`.
 //!
+//! ## Regions (§V.A)
+//!
+//! Region parameters are not renamed: `region_deps` checks each access
+//! against the buffer's access log (`data::region_log`) and links an
+//! edge from every live overlapping access it conflicts with — true,
+//! anti or output, as the paper's runtime does. Writes shadow the
+//! entries they contain, and identical reads share a **read group**: a
+//! second read of exactly an open read's region turns it into a group
+//! with two bodiless joins (`graph::node`), and every later identical
+//! read links in-join → reader → out-join in O(1) instead of one edge
+//! per writer and, later, one per reader for each writer. The log
+//! reaches the spawner through its `Linker` implementation below:
+//! direct edges are recorded and scheduled, join links only scheduled,
+//! and a group's task-to-task edges only recorded, so the structural
+//! graph is the one the direct path would build.
+//!
 //! ## Critical sections
 //!
 //! The **completion side never locks at all**: a worker finishing a
@@ -44,8 +60,9 @@
 //! structural-recording mutex within it. The region analyser's log
 //! mutex is a real lock, but only spawning threads (`region_deps`)
 //! and the `with_region`/`update_region` quiescence checks take it —
-//! workers completing tasks never do — and nothing acquires it while
-//! holding the graph mutex.
+//! workers completing tasks never do, and a read group's joins
+//! complete inside the lock-free release walk — and nothing acquires it
+//! while holding the graph mutex.
 
 use std::sync::Arc;
 
@@ -54,9 +71,12 @@ use crate::data::region::Region;
 use crate::data::region_handle::{
     RegionData, RegionHandle, RegionReadBinding, RegionWriteBinding,
 };
+use crate::data::region_log::{Grouping, Linker};
 use crate::data::version::{ReadBinding, WriteBinding};
 use crate::data::TaskData;
+use crate::graph::node::TaskNode;
 use crate::graph::record::EdgeKind;
+use crate::ids::TaskId;
 use crate::runtime::spawner::{SpawnHost, TaskSpawner};
 
 /// Refresh an object's `last_writer` locality hint and cast this
@@ -319,18 +339,45 @@ fn region_deps<T: RegionData, H: SpawnHost>(
     // Finished entries can no longer gate anything; the log prunes them
     // eagerly unless the structural recorder needs the history.
     let prune = !sp.record_graph();
-    let me = sp.node().id();
     let want_hint = sp.locality();
     let mut log = h.obj.log.lock();
-    let hint = log.record(region, write, me, sp.node(), prune, want_hint, &mut |n, kind| {
-        sp.link(n, kind)
-    });
+    let (hint, grouping) = log.record(region, write, sp.node(), prune, want_hint, sp);
     drop(log);
+    match grouping {
+        Grouping::None => {}
+        Grouping::Opened => sp.stats().region_groups(),
+        Grouping::Joined => sp.stats().grouped_reads(),
+    }
     if let Some(w) = hint {
         // Region votes weigh by region size (element count), so a
         // band's bulk input outvotes its halo rows; unbounded regions
         // weigh as "very large".
         let weight = region.volume().map(|v| v.max(1) as u64).unwrap_or(1 << 32);
         sp.vote(w, weight);
+    }
+}
+
+/// The region log links through the spawner: direct edges are recorded
+/// and scheduled, join links only scheduled, and a group's task-level
+/// edges only recorded.
+impl<H: SpawnHost> Linker for TaskSpawner<'_, H> {
+    fn edge(&self, producer: &Arc<TaskNode>, kind: EdgeKind) {
+        self.link(producer, kind);
+    }
+
+    fn record(&self, producer: TaskId, kind: EdgeKind) {
+        self.record_edge(producer, kind);
+    }
+
+    fn feed_join(&self, producer: &Arc<TaskNode>, join: &Arc<TaskNode>, kind: EdgeKind) {
+        self.link_join(producer, join, kind);
+    }
+
+    fn await_join(&self, join: &Arc<TaskNode>, kind: EdgeKind) {
+        self.schedule(join, kind);
+    }
+
+    fn drains(&self) -> u64 {
+        self.failure_drains()
     }
 }

@@ -41,6 +41,20 @@
 //!   steady-state spawning performs **zero** allocations.
 //!
 //! [`reset_for_reuse`]: TaskNode::reset_for_reuse
+//!
+//! ## Joins
+//!
+//! A **join** (`TaskNode::new_join`) is a bodiless node the
+//! region analyser uses to stand for a read group (see
+//! `data::region_log`): it takes edges in and hands them on like a task,
+//! but it has no id from the task sequence, no body, and never reaches a
+//! ready queue or the task counts. The release walk completes a join
+//! inline the moment its count reaches zero and walks its successors in
+//! the same pass. A join released by a poisoned walk (or linked to a
+//! producer that finished poisoned) completes cancelled and poisons its
+//! own successors, so cancellation crosses it exactly as it would cross
+//! the direct edges it replaces. Joins never feed joins, so the inline
+//! walk nests at most one level.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -53,6 +67,9 @@ use crate::runtime::Priority;
 
 /// Sentinel for the worker-hint fields below: no worker recorded.
 const NO_WORKER: u32 = u32::MAX;
+
+/// The id every join carries: task ids are 1-based, so it names none.
+pub(crate) const JOIN_ID: TaskId = TaskId(0);
 
 /// "No hint" as the `usize` the placement code traffics in.
 pub(crate) const HINT_NONE: usize = usize::MAX;
@@ -342,6 +359,45 @@ impl TaskNode {
         })
     }
 
+    /// A fresh join in `owner`'s session. It starts with its guard held
+    /// (`deps == 1`, like a task's spawn guard); the analyser links its
+    /// edges and then drops the guard with
+    /// [`release_join_guard`](Self::release_join_guard).
+    pub(crate) fn new_join(owner: &TaskNode) -> Arc<Self> {
+        let node = TaskNode::new(JOIN_ID, "join", Priority::Normal);
+        node.sess_ctl
+            .store(owner.sess_ctl.load(Ordering::Relaxed), Ordering::Relaxed);
+        node
+    }
+
+    /// Is this a bodiless join?
+    #[inline]
+    pub(crate) fn is_join(&self) -> bool {
+        self.id == JOIN_ID
+    }
+
+    /// Drop a join's guard from the analysing thread. The analyser
+    /// releases a guard only before anything can wait on the join (the
+    /// in-join's right after its producers are linked, the out-join's
+    /// when its group is sealed, before the sealing writer links), so a
+    /// join completed here never makes a task ready.
+    pub(crate) fn release_join_guard(&self) {
+        debug_assert!(self.is_join(), "only joins are released by the analyser");
+        if self.release_dep() {
+            self.complete_join(&mut |_| {
+                unreachable!("a join released by the analyser had a waiting successor")
+            });
+        }
+    }
+
+    /// Does this node hold nothing but its guard? For a join whose guard
+    /// is still held, this means every linked producer has finished. The
+    /// Acquire load orders those producers' effects before the caller.
+    #[inline]
+    pub(crate) fn holds_only_guard(&self) -> bool {
+        self.deps.load(Ordering::Acquire) == 1
+    }
+
     /// Re-arm a finished, exclusively-owned node for a new task. The
     /// caller proves exclusivity by reaching this through
     /// `Arc::get_mut`, which also gives the happens-before edge over
@@ -358,6 +414,7 @@ impl TaskNode {
             "finished node still owns a body"
         );
         debug_assert_eq!(*self.succs.get_mut(), closed(), "successor list not closed");
+        debug_assert!(!self.is_join(), "joins are never recycled");
         self.id = id;
         self.name = name;
         *self.high.get_mut() = priority == Priority::High;
@@ -705,6 +762,25 @@ impl TaskNode {
         self.release_successors(head, poison, on_ready)
     }
 
+    /// Complete a join whose count just reached zero: cancelled if a
+    /// poisoned walk or a poisoned producer asked for it, and then its
+    /// successors are walked like a task's. Always the AcqRel close:
+    /// joins complete on whichever thread released them last, while the
+    /// analyser may be linking to them. Out of line, behind a `dyn`: the
+    /// task walk that calls it stays non-recursive, so it inlines into
+    /// `complete` as it did before joins existed.
+    #[cold]
+    #[inline(never)]
+    fn complete_join(&self, on_ready: &mut dyn FnMut(Arc<TaskNode>)) -> usize {
+        let poison = self.cancel_requested();
+        if poison {
+            self.stamp_cancelled();
+        }
+        let head = self.succs.swap(closed(), Ordering::AcqRel);
+        self.state.store(STATE_FINISHED, Ordering::Release);
+        self.release_successors(head, poison, on_ready)
+    }
+
     fn release_successors(
         &self,
         head: *mut SuccNode,
@@ -752,8 +828,15 @@ impl TaskNode {
                     succ.request_cancel();
                 }
                 if succ.release_dep() {
-                    n_ready += 1;
-                    on_ready(succ);
+                    if succ.is_join() {
+                        // Joins complete inline and hand their
+                        // successors to the same walk (module docs).
+                        debug_assert!(!self.is_join(), "joins never feed joins");
+                        n_ready += succ.complete_join(&mut on_ready);
+                    } else {
+                        n_ready += 1;
+                        on_ready(succ);
+                    }
                 }
             }
         }
@@ -1001,6 +1084,70 @@ mod tests {
         let ready = complete_collect(&p);
         assert_eq!(ready.len(), 1);
         assert!(!ready[0].cancel_requested());
+    }
+
+    /// A join completes inline in its producer's release walk and hands
+    /// its successors to the same walk; it never reaches `on_ready`.
+    #[test]
+    fn join_completes_inline_in_the_release_walk() {
+        let p = node(1);
+        let join = TaskNode::new_join(&p);
+        assert!(join.is_join() && join.id() == JOIN_ID);
+        assert!(p.add_successor(&join));
+        join.retain_dep();
+        let kids: Vec<_> = (2..4).map(node).collect();
+        for k in &kids {
+            assert!(join.add_successor(k));
+            k.retain_dep();
+            assert!(!k.release_dep()); // release the spawn guard
+        }
+        join.release_join_guard();
+        assert!(!join.is_finished(), "the producer is pending");
+        p.install_body(|| {});
+        p.take_body().run_in_place();
+        let ready = complete_collect(&p);
+        let ids: Vec<_> = ready.iter().map(|n| n.id().0).collect();
+        assert_eq!(ids, vec![2, 3]);
+        assert!(join.is_finished() && !join.finished_poisoned());
+    }
+
+    /// A join released by a poisoned walk completes cancelled and
+    /// poisons its own successors.
+    #[test]
+    fn a_poisoned_walk_cancels_through_a_join() {
+        let p = node(1);
+        let join = TaskNode::new_join(&p);
+        assert!(p.add_successor(&join));
+        join.retain_dep();
+        join.release_join_guard();
+        let k = node(2);
+        assert!(join.add_successor(&k));
+        k.retain_dep();
+        assert!(!k.release_dep());
+        p.stamp_failed();
+        let mut ready = Vec::new();
+        assert_eq!(p.complete(true, |s| ready.push(s)), 1);
+        assert!(join.finished_poisoned());
+        assert!(ready[0].cancel_requested());
+    }
+
+    /// A join whose guard goes with nothing else to wait for completes
+    /// at once; a cancellation request makes it complete poisoned. It
+    /// carries its owner's session.
+    #[test]
+    fn an_idle_join_completes_when_its_guard_goes() {
+        let owner = node(1);
+        let fake = ptr::NonNull::<crate::runtime::session::SessionCtl>::dangling();
+        owner.set_session_ctl(fake.as_ptr());
+        let join = TaskNode::new_join(&owner);
+        assert!(join.same_session(&owner) && !join.same_session(&node(2)));
+        assert!(join.holds_only_guard());
+        join.release_join_guard();
+        assert!(join.is_finished() && !join.finished_poisoned());
+        let join = TaskNode::new_join(&owner);
+        join.request_cancel();
+        join.release_join_guard();
+        assert!(join.finished_poisoned());
     }
 
     #[test]

@@ -280,6 +280,25 @@ pub struct Shared {
 pub(crate) struct FailureLog {
     pub(crate) failed: Vec<TaskFailure>,
     pub(crate) cancelled: Vec<CancelledTask>,
+    /// The registry's count of drains that reported something (0 in a
+    /// drained-out log). The region log keeps the entries of failed and
+    /// cancelled tasks until the next one (`data::region_log`).
+    pub(crate) drains: u64,
+}
+
+impl FailureLog {
+    /// Hand `failed` and `cancelled`, just taken out of this registry,
+    /// to a drain, counting the drain if it reports anything.
+    fn report(&mut self, failed: Vec<TaskFailure>, cancelled: Vec<CancelledTask>) -> FailureLog {
+        if !failed.is_empty() || !cancelled.is_empty() {
+            self.drains += 1;
+        }
+        FailureLog {
+            failed,
+            cancelled,
+            drains: 0,
+        }
+    }
 }
 
 impl Shared {
@@ -471,7 +490,7 @@ impl Shared {
             .into_iter()
             .partition(|c: &CancelledTask| c.session == id);
         log.cancelled = keep_cancelled;
-        FailureLog { failed, cancelled }
+        log.report(failed, cancelled)
     }
 
     /// Shared state without worker threads, for unit tests of the
@@ -1029,7 +1048,11 @@ impl Runtime {
         }
         let log = {
             let mut log = self.shared.failures.lock();
-            std::mem::take(&mut *log)
+            let (failed, cancelled) = (
+                std::mem::take(&mut log.failed),
+                std::mem::take(&mut log.cancelled),
+            );
+            log.report(failed, cancelled)
         };
         // Reset after the drain (not before): the graph is quiescent
         // post-barrier, so no completion can race the flag here on an

@@ -342,6 +342,13 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         &self.rt.shared().stats
     }
 
+    /// Failure drains that reported something so far (`FailureLog::drains`).
+    /// Takes the registry lock: the region log asks only when a query
+    /// met the entry of a failed or cancelled task.
+    pub(crate) fn failure_drains(&self) -> u64 {
+        self.rt.shared().failures.lock().drains
+    }
+
     /// Link a dependency edge `producer -> self`, recording it structurally
     /// and counting it for scheduling if the producer is still unfinished.
     #[inline]
@@ -351,14 +358,37 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
             // the same handle within one invocation).
             return;
         }
-        let shared = self.rt.shared();
-        if let Some(g) = &shared.graph {
-            g.lock().add_edge(producer.id(), self.node.id(), kind);
+        self.record_edge(producer.id(), kind);
+        self.schedule(producer, kind);
+    }
+
+    /// Record `producer -> self` in the structural graph only (when
+    /// recording is on). The region analyser calls this where a join
+    /// carries the scheduler link, so the recorded graph keeps the
+    /// task-to-task edges of the direct path.
+    #[inline]
+    pub(crate) fn record_edge(&self, producer: TaskId, kind: EdgeKind) {
+        if let Some(g) = &self.rt.shared().graph {
+            if producer != self.node.id() {
+                g.lock().add_edge(producer, self.node.id(), kind);
+            }
         }
+    }
+
+    fn count_edge(&self, kind: EdgeKind) {
+        let stats = &self.rt.shared().stats;
         match kind {
-            EdgeKind::True => shared.stats.true_edges(),
-            EdgeKind::Anti | EdgeKind::Output => shared.stats.anti_edges(),
+            EdgeKind::True => stats.true_edges(),
+            EdgeKind::Anti | EdgeKind::Output => stats.anti_edges(),
         }
+    }
+
+    /// The scheduler half of [`link`](Self::link): count the edge and
+    /// make this task wait for `producer` (a task or a join) if it is
+    /// still unfinished. Nothing is recorded.
+    #[inline]
+    pub(crate) fn schedule(&self, producer: &Arc<TaskNode>, kind: EdgeKind) {
+        self.count_edge(kind);
         // Count the dependency BEFORE publishing the successor link: the
         // producer may complete the instant `add_successor_with`
         // publishes, and its completion path must find the count already
@@ -401,6 +431,28 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
                 && producer.same_session(&self.node)
             {
                 self.node.request_cancel();
+            }
+        }
+    }
+
+    /// Make `join` wait for `producer`: a writer feeding a read group's
+    /// in-join, or a member (this task, or the group's first reader)
+    /// feeding its out-join. Counted like any scheduler link, not
+    /// recorded. The join's guard is held, so an already-finished
+    /// producer can never complete it here; a producer that finished
+    /// poisoned cancels it, as [`schedule`](Self::schedule) cancels a
+    /// task.
+    pub(crate) fn link_join(&self, producer: &Arc<TaskNode>, join: &Arc<TaskNode>, kind: EdgeKind) {
+        debug_assert!(join.is_join());
+        self.count_edge(kind);
+        join.retain_dep();
+        let link = self.rt.acquire_link();
+        if !producer.add_successor_with(join, link) {
+            self.rt.release_link(link);
+            let completed = join.release_dep();
+            debug_assert!(!completed, "join guard must still be held");
+            if self.poison_new_deps && producer.finished_poisoned() && producer.same_session(join) {
+                join.request_cancel();
             }
         }
     }

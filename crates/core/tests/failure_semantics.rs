@@ -164,6 +164,76 @@ fn spawning_against_an_already_failed_producer_cancels() {
     assert!(!ran.load(Ordering::Relaxed));
 }
 
+/// The region counterpart, in pruning mode (`record_graph` off): the
+/// failed writer's log entry outlives its task until a containing write
+/// shadows it, so a reader spawned after the writer was observed finished
+/// is cancelled — and so are the readers that open and join a read group
+/// on the same region, whose in-join the failed writer feeds — until
+/// `wait_all` has reported the failure.
+#[test]
+fn late_region_readers_of_a_failed_writer_are_cancelled() {
+    use smpss::region;
+    quiet_worker_panics();
+    let rt = Runtime::builder().threads(2).build();
+    let data = rt.region_data(vec![0i64; 64]);
+    let mut sp = rt.task("early_boom");
+    let _w = sp.write_region(&data, region![0..=63]);
+    let bad = sp.id();
+    sp.submit(|| panic!("early"));
+    // Every accessor of the buffer has finished once this returns.
+    rt.with_region(&data, |_| ());
+
+    let ran = Arc::new(AtomicUsize::new(0));
+    let mut late = BTreeSet::new();
+    for _ in 0..3 {
+        let mut sp = rt.task("late_reader");
+        let r = sp.read_region(&data, region![4..=5]);
+        late.insert(sp.id());
+        let ran = ran.clone();
+        sp.submit(move || {
+            let _ = &r;
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+    let st = rt.stats();
+    assert_eq!(
+        (st.region_groups, st.grouped_reads),
+        (1, 1),
+        "the second read opened a group, the third joined it"
+    );
+    let err = rt.wait_all().expect_err("the writer failed");
+    assert_eq!(failed_ids(&err), [bad]);
+    assert_eq!(cancelled_ids(&err), late);
+    assert_eq!(ran.load(Ordering::Relaxed), 0);
+
+    // The drain reported the failure, so the buffer heals: a write over
+    // all of it runs, and so does every read after it — even while an
+    // unrelated later failure has the runtime's fault flag up, under
+    // which a stale cancellation would be honoured.
+    let other = rt.data(0i64);
+    let mut sp = rt.task("later_boom");
+    let _w = sp.write(&other);
+    let later = sp.id();
+    sp.submit(|| panic!("later"));
+    rt.wait_on(&other);
+    let mut sp = rt.task("rewrite");
+    let mut w = sp.write_region(&data, region![0..=63]);
+    sp.submit(move || w.slice_mut(0, 63).fill(7));
+    for _ in 0..50 {
+        let mut sp = rt.task("healed_reader");
+        let mut r = sp.read_region(&data, region![4..=5]);
+        let ran = ran.clone();
+        sp.submit(move || {
+            assert_eq!(r.slice(4, 5), [7, 7]);
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+    let err = rt.wait_all().expect_err("the later task failed");
+    assert_eq!(failed_ids(&err), [later]);
+    assert!(err.cancelled.is_empty(), "cancelled: {:?}", cancelled_ids(&err));
+    assert_eq!(ran.load(Ordering::Relaxed), 50);
+}
+
 /// `OnPanic::Isolate`: the failure is recorded but nothing is cancelled —
 /// dependents run against whatever the failed task left behind.
 #[test]

@@ -720,3 +720,211 @@ mod prune_mode {
         }
     }
 }
+
+/// Read groups under execution (`record_graph(false)`, several workers):
+/// programs built to repeat identical reads — 1-D, 2-D and
+/// `Region::all()` regions over two buffers, tasks that read a region
+/// and then write part of it — run every conflicting pair in order, never
+/// deadlock, and a failing writer that feeds a group cancels exactly its
+/// descendants.
+mod group_order {
+    use super::quiet_worker_panics;
+    use super::reference::{self, Access, Dim, Program, LEN, SIDE};
+    use proptest::prelude::*;
+    use smpss::{Runtime, TaskId};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    /// A few regions per buffer, so that reads repeat exactly.
+    fn pool(buf: usize, pick: usize) -> Vec<Dim> {
+        match (buf, pick) {
+            (0, 0) => vec![Some((0, 31))],
+            (0, 1) => vec![Some((32, LEN - 1))],
+            (0, 2) => vec![Some((16, 47))],
+            (1, 0) => vec![Some((0, 3)), Some((0, 3))],
+            (1, 1) => vec![Some((4, SIDE - 1)), None],
+            (1, 2) => vec![Some((0, SIDE - 1)), Some((2, 5))],
+            _ => vec![None], // Region::all()
+        }
+    }
+
+    /// Quarter `q` of `dims` along dimension 0.
+    fn part(buf: usize, dims: &[Dim], q: usize) -> Vec<Dim> {
+        let extent = if buf == 0 { LEN } else { SIDE };
+        let (l, u) = dims[0].unwrap_or((0, extent - 1));
+        let step = (u - l + 1).div_ceil(4);
+        let lo = (l + q * step).min(u);
+        let mut out = dims.to_vec();
+        out[0] = Some((lo, (lo + step - 1).min(u)));
+        out
+    }
+
+    /// `(buffer, region pick, shape, quarter)`; shapes 0-3 read one pool
+    /// region, 4 writes it, 5 reads it and then writes a quarter of it,
+    /// 6 reads it and the next one, 7 writes a quarter.
+    fn task((buf, pick, shape, q): (usize, usize, usize, usize)) -> Vec<Access> {
+        let dims = pool(buf, pick);
+        let acc = |dims: Vec<Dim>, write| Access { buf, dims, write };
+        match shape {
+            0..=3 => vec![acc(dims, false)],
+            4 => vec![acc(dims, true)],
+            5 => vec![acc(dims.clone(), false), acc(part(buf, &dims, q), true)],
+            6 => vec![acc(dims, false), acc(pool(buf, (pick + 1) % 4), false)],
+            _ => vec![acc(part(buf, &dims, q), true)],
+        }
+    }
+
+    fn program() -> impl Strategy<Value = Program> {
+        let raw = (0..2usize, 0..4usize, 0..8usize, 0..4usize);
+        proptest::collection::vec(raw.prop_map(task), 1..40)
+    }
+
+    /// Start and end tickets of every task, from one clock.
+    struct Tickets {
+        clock: AtomicU64,
+        start: Vec<AtomicU64>,
+        end: Vec<AtomicU64>,
+    }
+
+    /// Run `p` and return each task's tickets (0: never ran) and the ids
+    /// `wait_all` reports cancelled. Task `fail`, if given, waits until
+    /// every task is spawned and panics.
+    fn run(p: &Program, threads: usize, fail: Option<usize>) -> (Arc<Tickets>, BTreeSet<usize>) {
+        let rt = Runtime::builder().threads(threads).build();
+        let bufs = [
+            rt.region_data(vec![0u32; LEN]),
+            rt.region_data(vec![0u32; LEN]),
+        ];
+        let t = Arc::new(Tickets {
+            clock: AtomicU64::new(1),
+            start: (0..p.len()).map(|_| AtomicU64::new(0)).collect(),
+            end: (0..p.len()).map(|_| AtomicU64::new(0)).collect(),
+        });
+        let gate = Arc::new(AtomicBool::new(false));
+        for (i, accs) in p.iter().enumerate() {
+            let mut sp = rt.task("acc");
+            let mut reads = Vec::new();
+            let mut writes = Vec::new();
+            for a in accs {
+                let (h, r) = (&bufs[a.buf], reference::region(a));
+                if a.write {
+                    writes.push(sp.write_region(h, r));
+                } else {
+                    reads.push(sp.read_region(h, r));
+                }
+            }
+            let (t, gate) = (Arc::clone(&t), Arc::clone(&gate));
+            let fails = fail == Some(i);
+            sp.submit(move || {
+                let _ = (&reads, &writes);
+                t.start[i].store(t.clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+                if fails {
+                    while !gate.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    panic!("task {} fails on purpose", i + 1);
+                }
+                t.end[i].store(t.clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+            });
+        }
+        gate.store(true, Ordering::Release);
+        let cancelled = match rt.wait_all() {
+            Ok(()) => BTreeSet::new(),
+            Err(e) => {
+                let failed: Vec<TaskId> = e.failed.iter().map(|f| f.id).collect();
+                assert_eq!(
+                    failed,
+                    fail.map(|f| TaskId(f as u64 + 1))
+                        .into_iter()
+                        .collect::<Vec<_>>()
+                );
+                e.cancelled.iter().map(|c| c.id.0 as usize - 1).collect()
+            }
+        };
+        (t, cancelled)
+    }
+
+    /// `run` on a watchdog thread: a dependency cycle fails the case
+    /// instead of hanging the test.
+    fn run_watched(
+        p: &Program,
+        threads: usize,
+        fail: Option<usize>,
+    ) -> (Arc<Tickets>, BTreeSet<usize>) {
+        let (tx, rx) = mpsc::channel();
+        let p2 = p.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(run(&p2, threads, fail));
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(out) => out,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!(
+                    "threads={} fail={:?}: no progress in 60 s (dependency cycle?)",
+                    threads, fail
+                )
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the run panicked"),
+        }
+    }
+
+    /// A writer whose write a later read group waits for: some region it
+    /// overlaps is read by at least two later tasks. Any writer if none.
+    fn failing_writer(p: &Program, pick: usize) -> Option<usize> {
+        let writers: Vec<usize> = (0..p.len())
+            .filter(|&t| p[t].iter().any(|a| a.write))
+            .collect();
+        let feeds_group = |w: usize| {
+            p[w].iter().filter(|a| a.write).any(|a| {
+                let reads =
+                    |t: &Vec<Access>| t.iter().any(|r| !r.write && reference::conflict(a, r));
+                p[w + 1..].iter().filter(|t| reads(t)).count() >= 2
+            })
+        };
+        let feeding: Vec<usize> = writers
+            .iter()
+            .copied()
+            .filter(|&w| feeds_group(w))
+            .collect();
+        let from = if feeding.is_empty() {
+            &writers
+        } else {
+            &feeding
+        };
+        (!from.is_empty()).then(|| from[pick % from.len()])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn grouped_reads_run_every_conflicting_pair_in_order(p in program(), pick in 0..64usize) {
+            quiet_worker_panics();
+            let pairs = reference::conflict_pairs(&p);
+            let fail = failing_writer(&p, pick);
+            for threads in [2, 4] {
+                for fail in [None, fail] {
+                    let (t, cancelled) = run_watched(&p, threads, fail);
+                    let ctx = format!("threads={} fail={:?}", threads, fail.map(|f| f + 1));
+                    for &(i, j) in &pairs {
+                        let (end_i, start_j) = (t.end[i].load(Ordering::SeqCst), t.start[j].load(Ordering::SeqCst));
+                        if end_i != 0 && start_j != 0 {
+                            prop_assert!(end_i < start_j, "task {} must finish before task {} starts ({})", i + 1, j + 1, ctx);
+                        }
+                    }
+                    let want = match fail {
+                        Some(f) => reference::descendants(p.len(), &pairs)[f].clone(),
+                        None => BTreeSet::new(),
+                    };
+                    prop_assert_eq!(&cancelled, &want, "cancelled = descendants ({})", ctx);
+                    for (i, s) in t.start.iter().enumerate() {
+                        let ran = s.load(Ordering::SeqCst) != 0;
+                        prop_assert_eq!(ran, !want.contains(&i), "task {} ran iff not cancelled ({})", i + 1, ctx);
+                    }
+                }
+            }
+        }
+    }
+}
